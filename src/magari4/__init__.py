@@ -31,11 +31,6 @@ from .constants import (
     PreconditionViolated,
     TwelveSystem,
     derive_all_constants,
-    lemma1_A,
-    lemma2_B,
-    lemma3,
-    lemma4,
-    lemma5,
 )
 from .formula import (
     Binary,
@@ -118,11 +113,6 @@ __all__ = [
     "format_formula",
     "free_vars",
     "i_op",
-    "lemma1_A",
-    "lemma2_B",
-    "lemma3",
-    "lemma4",
-    "lemma5",
     "magari_identity_report",
     "parse",
     "preserves",

@@ -3,7 +3,8 @@
 Every subcommand is a thin adapter over the library: parse flags, call the
 corresponding function, format the result.  Exit codes: 0 success, 1
 negative answer (not equivalent, nothing violated, precondition not met),
-2 usage error, 3 internal check failure.
+2 usage error (including input nested too deeply to parse or tabulate),
+3 internal check failure.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .formula import (
 from .preservation import classify, find_violation, lookup_relation
 from .selftest import DEFAULT_SEED, run_selftest
 from .synthesis import NotRepresentable, synthesize
-from .tables import FuncTable
+from .tables import FuncTable, constant_table
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
@@ -157,14 +158,10 @@ def _cmd_violations(args) -> int:
             lines.append(f"{label}: preserved")
         else:
             found = True
-            results.append(
-                {"relation": label, "preserved": False,
-                 "witness": _witness_payload(witness)}
-            )
-            cols = ";".join(
-                "".join(e.token for e in col) for col in witness.selected_columns
-            )
-            img = "".join(e.token for e in witness.image)
+            payload = _witness_payload(witness)
+            results.append({"relation": label, "preserved": False, "witness": payload})
+            cols = ";".join(payload["columns"])
+            img = payload["image"]
             lines.append(f"{label}: violated by columns ({cols}) -> image ({img})")
     _emit({"results": results}, args.json, "\n".join(lines))
     return 0 if found else 1
@@ -218,7 +215,7 @@ def _cmd_closure(args) -> int:
     constants = sorted(
         e.token
         for e in ELEMENTS
-        if FuncTable(args.arity, (e,) * 4**args.arity) in fragment.tables
+        if constant_table(e, args.arity) in fragment.tables
     )
     print(
         json.dumps(
@@ -363,6 +360,9 @@ def run(argv: list[str]) -> int:
         return args.fn(args)
     except (ParseError, EvaluationError, _UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
         return USAGE_ERROR
     except NotRepresentable as exc:
         print(f"not representable: {exc}", file=sys.stderr)

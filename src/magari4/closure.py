@@ -15,7 +15,14 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .algebra import ELEMENTS, Element
-from .tables import FuncTable, constant_table, projection
+from .tables import (
+    FuncTable,
+    compose_packed,
+    constant_table,
+    projection,
+    projection_packed,
+    unpack,
+)
 
 
 @dataclass(frozen=True)
@@ -53,30 +60,6 @@ class ClosureFragment:
         return len(self.tables)
 
 
-def _pack(t: FuncTable) -> int:
-    packed = 0
-    for k, e in enumerate(t.entries):
-        packed |= int(e) << (2 * k)
-    return packed
-
-
-def _unpack(packed: int, k: int) -> FuncTable:
-    return FuncTable(
-        k, tuple(Element((packed >> (2 * j)) & 3) for j in range(4**k))
-    )
-
-
-def _compose_packed(flat: list[int], combo: tuple[int, ...], size: int) -> int:
-    out = 0
-    for j in range(size):
-        shift = 2 * j
-        idx = 0
-        for t in combo:
-            idx = idx * 4 + ((t >> shift) & 3)
-        out |= flat[idx] << shift
-    return out
-
-
 def closure_fragment(sigma: SystemSigma, k: int) -> ClosureFragment:
     """Least set of k-ary tables containing the projections and closed under
     top composition with sigma's members.  k must lie in 1..3."""
@@ -84,7 +67,7 @@ def closure_fragment(sigma: SystemSigma, k: int) -> ClosureFragment:
         raise ValueError(f"fragment arity must lie in 1..3, got {k}")
     size = 4**k
     flats = [(t.arity, [int(e) for e in t.entries]) for _, t in sigma.members]
-    current: set[int] = {_pack(projection(k, i)) for i in range(k)}
+    current: set[int] = {projection_packed(k, i) for i in range(k)}
     frontier = sorted(current)
     while frontier:
         old = sorted(current.difference(frontier))
@@ -96,12 +79,12 @@ def closure_fragment(sigma: SystemSigma, k: int) -> ClosureFragment:
                     continue
                 pools = [frontier if is_new else old for is_new in pattern]
                 for combo in itertools.product(*pools):
-                    h = _compose_packed(flat, combo, size)
+                    h = compose_packed(flat, combo, size)
                     if h not in current:
                         new.add(h)
         current |= new
         frontier = sorted(new)
-    return ClosureFragment(k, frozenset(_unpack(p, k) for p in current))
+    return ClosureFragment(k, frozenset(unpack(p, k) for p in current))
 
 
 def expressible_constants(sigma: SystemSigma) -> frozenset[Element]:

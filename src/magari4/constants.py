@@ -33,7 +33,13 @@ from .preservation import (
     preserves_delta_pairing,
 )
 from .synthesis import synthesize
-from .tables import FuncTable, constant_table, points
+from .tables import (
+    FuncTable,
+    compose_packed,
+    constant_table,
+    projection_packed,
+    unpack,
+)
 from .closure import SystemSigma
 
 
@@ -97,41 +103,37 @@ def term_text(term: Term) -> str:
     return f"{term.label}[{','.join(term_text(a) for a in term.args)}]"
 
 
-def eval_term(
-    term: Term, valuation: Mapping[str, Element], tables: Mapping[str, FuncTable]
-) -> Element:
-    return _eval(term, valuation, tables, {})
-
-
-def _eval(
-    term: Term,
-    valuation: Mapping[str, Element],
-    tables: Mapping[str, FuncTable],
-    memo: dict[int, Element],
-) -> Element:
-    # substitution shares subtree objects, so memoize by identity per
-    # valuation; composed terms would otherwise re-walk shared branches
-    if isinstance(term, TermVar):
-        return valuation[term.name]
-    key = id(term)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    args = tuple(_eval(a, valuation, tables, memo) for a in term.args)
-    value = tables[term.label].apply(args)
-    memo[key] = value
-    return value
-
-
 def term_table(
     term: Term, var_order: Sequence[str], tables: Mapping[str, FuncTable]
 ) -> FuncTable:
     var_order = tuple(var_order)
-    entries = tuple(
-        eval_term(term, dict(zip(var_order, pt)), tables)
-        for pt in points(len(var_order))
-    )
-    return FuncTable(len(var_order), entries)
+    n = len(var_order)
+    env = {name: projection_packed(n, i) for i, name in enumerate(var_order)}
+    return unpack(_fold(term, env, tables, 4**n, {}), n)
+
+
+def _fold(
+    term: Term,
+    env: Mapping[str, int],
+    tables: Mapping[str, FuncTable],
+    size: int,
+    memo: dict[int, int],
+) -> int:
+    # substitution shares subtree objects, so memoize by identity; composed
+    # terms would otherwise re-walk shared branches
+    if isinstance(term, TermVar):
+        return env[term.name]
+    key = id(term)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    table = tables[term.label]
+    if len(term.args) != table.arity:
+        raise ValueError(f"{term.label} expects {table.arity} argument(s)")
+    args = [_fold(a, env, tables, size, memo) for a in term.args]
+    value = compose_packed(table.entries, args, size)
+    memo[key] = value
+    return value
 
 
 # ---------------------------------------------------------------------------

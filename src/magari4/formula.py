@@ -28,8 +28,8 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
-from .algebra import ELEMENTS, Connective, Element, apply
-from .tables import FuncTable
+from .algebra import Connective, Element, apply
+from .tables import FuncTable, points, projection_packed, unpack
 
 
 class ParseError(ValueError):
@@ -99,12 +99,13 @@ def iff_formula(a: Formula, b: Formula) -> Formula:
 _TOKEN_RE = re.compile(r"(<->|->|\[\]|[~#&|()])|([A-Za-z][A-Za-z0-9_]*)|([01])")
 _WS_RE = re.compile(r"\s*")
 
-_CONST_WORDS = {
-    "0": Element.ZERO,
-    "1": Element.ONE,
-    "rho": Element.RHO,
-    "sigma": Element.SIGMA,
+_CONST_TEXT = {
+    Element.ZERO: "0",
+    Element.ONE: "1",
+    Element.RHO: "rho",
+    Element.SIGMA: "sigma",
 }
+_CONST_WORDS = {text: value for value, text in _CONST_TEXT.items()}
 
 
 class _Parser:
@@ -203,12 +204,6 @@ def parse(text: str) -> Formula:
 # Printing
 # ---------------------------------------------------------------------------
 
-_CONST_TEXT = {
-    Element.ZERO: "0",
-    Element.ONE: "1",
-    Element.RHO: "rho",
-    Element.SIGMA: "sigma",
-}
 _PREC = {Connective.IMP: 1, Connective.OR: 2, Connective.AND: 3}
 
 
@@ -275,7 +270,7 @@ def _free_vars(f: Formula, memo: dict[int, frozenset[str]]) -> frozenset[str]:
 
 
 # The truth table of a formula is computed in one AST walk over packed
-# integers: entry k of the table occupies bits [2k, 2k+2), so the boolean
+# tables (see tables.pack): entry k occupies bits [2k, 2k+2), so the boolean
 # connectives are single bitwise operations on the whole table and delta is
 # a shift plus two masks.
 @functools.lru_cache(maxsize=None)
@@ -284,15 +279,6 @@ def _masks(n: int) -> tuple[int, int, int]:
     ones = (1 << (2 * size)) - 1
     lo = ones // 3  # 01 repeated per entry
     return ones, lo, lo << 1
-
-
-@functools.lru_cache(maxsize=None)
-def _projection_packed(n: int, i: int) -> int:
-    stride = 4 ** (n - 1 - i)
-    packed = 0
-    for k in range(4**n):
-        packed |= ((k // stride) % 4) << (2 * k)
-    return packed
 
 
 def _packed_walk(f: Formula, env: Mapping[str, int], n: int, memo: dict[int, int]) -> int:
@@ -336,10 +322,8 @@ def truth_table(f: Formula, var_order: Sequence[str]) -> FuncTable:
     if missing:
         raise ValueError(f"var_order misses free variable(s): {sorted(missing)}")
     n = len(var_order)
-    env = {name: _projection_packed(n, i) for i, name in enumerate(var_order)}
-    packed = _packed_walk(f, env, n, {})
-    entries = tuple(Element((packed >> (2 * k)) & 3) for k in range(4**n))
-    return FuncTable(n, entries)
+    env = {name: projection_packed(n, i) for i, name in enumerate(var_order)}
+    return unpack(_packed_walk(f, env, n, {}), n)
 
 
 def _joint_vars(f: Formula, g: Formula) -> tuple[str, ...]:
@@ -360,12 +344,9 @@ def counterexample(f: Formula, g: Formula) -> dict[str, Element] | None:
     vs = _joint_vars(f, g)
     tf = truth_table(f, vs)
     tg = truth_table(g, vs)
-    for k, (a, b) in enumerate(zip(tf.entries, tg.entries)):
+    for pt, a, b in zip(points(len(vs)), tf.entries, tg.entries):
         if a != b:
-            return {
-                name: ELEMENTS[(k // 4 ** (len(vs) - 1 - i)) % 4]
-                for i, name in enumerate(vs)
-            }
+            return dict(zip(vs, pt))
     return None
 
 

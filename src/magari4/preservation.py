@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import ELEMENTS, HIGH, Element, delta
-from .tables import FuncTable, points
+from .tables import FuncTable, linear_index, points
 
 Column = tuple[Element, ...]
 
@@ -87,15 +87,8 @@ class ViolationWitness:
 
 def _image(f: FuncTable, selection: Sequence[Column], arity: int) -> Column:
     return tuple(
-        f.entries[_lin(tuple(col[i] for col in selection))] for i in range(arity)
+        f.entries[linear_index([col[i] for col in selection])] for i in range(arity)
     )
-
-
-def _lin(args: Column) -> int:
-    idx = 0
-    for a in args:
-        idx = idx * 4 + int(a)
-    return idx
 
 
 def preserves(f: FuncTable, relation: RelationMatrix) -> bool:

@@ -4,10 +4,16 @@ A table lists all 4**n values in a fixed row-major enumeration: argument
 tuples run through (0, r, s, 1) per position with the first argument most
 significant.  The text format is `<arity>:<entries>` with entries a string
 over {0, r, s, 1}, e.g. the delta operation is `1:ss11`.
+
+The packed form of a table is one int holding entry k at bits [2k, 2k+2).
+Packing, unpacking and packed projections live here, next to
+`compose_packed`, the one table-composition kernel; the formula module's
+bitwise walk works on the same form.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -87,6 +93,37 @@ def projection(arity: int, index: int) -> FuncTable:
     return FuncTable(arity, tuple(pt[index] for pt in points(arity)))
 
 
+def pack(t: FuncTable) -> int:
+    packed = 0
+    for k, e in enumerate(t.entries):
+        packed |= int(e) << (2 * k)
+    return packed
+
+
+def unpack(packed: int, arity: int) -> FuncTable:
+    return FuncTable(
+        arity, tuple(Element((packed >> (2 * k)) & 3) for k in range(4**arity))
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def projection_packed(arity: int, index: int) -> int:
+    return pack(projection(arity, index))
+
+
+def compose_packed(flat: Sequence[int], args: Sequence[int], size: int) -> int:
+    """Packed g(t1, ..., tn): flat lists g's entries, args are the packed
+    t_i, each with size entries."""
+    out = 0
+    for j in range(size):
+        shift = 2 * j
+        idx = 0
+        for t in args:
+            idx = idx * 4 + ((t >> shift) & 3)
+        out |= flat[idx] << shift
+    return out
+
+
 def compose(g: FuncTable, args: Sequence[FuncTable]) -> FuncTable:
     """Top-composition g(t1, ..., tn) of tables of a common arity.
 
@@ -99,7 +136,4 @@ def compose(g: FuncTable, args: Sequence[FuncTable]) -> FuncTable:
     k = args[0].arity
     if any(t.arity != k for t in args):
         raise ValueError("composition arguments must share one arity")
-    entries = tuple(
-        g.entries[linear_index([t.entries[j] for t in args])] for j in range(4**k)
-    )
-    return FuncTable(k, entries)
+    return unpack(compose_packed(g.entries, [pack(t) for t in args], 4**k), k)

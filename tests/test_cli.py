@@ -87,6 +87,22 @@ def test_parse_error_is_usage_error(capsys):
     assert "error" in err
 
 
+def test_deeply_nested_formula_is_usage_error(capsys):
+    deep = "(" * 500 + "p" + ")" * 500
+    code, _, err = invoke(capsys, "eval", deep, "--env", "p=0")
+    assert code == 2
+    assert "nested too deeply" in err
+    assert "Traceback" not in err
+
+
+def test_long_conjunction_chain_is_usage_error(capsys):
+    # parses without recursion, then overflows the recursive table walk
+    code, _, err = invoke(capsys, "table", " & ".join(["p"] * 3000))
+    assert code == 2
+    assert "nested too deeply" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # classify / violations
 # ---------------------------------------------------------------------------
@@ -298,9 +314,17 @@ def test_console_entry_point():
 
 def test_derivation_output_identical_across_processes(tmp_path):
     # object identities differ between interpreter runs; the payload must not
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import magari4
+
+    # the children import the package this process imported, installed or not
+    src = str(Path(magari4.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     path = _write_canned(tmp_path)
     outs = [
         subprocess.run(
@@ -308,6 +332,7 @@ def test_derivation_output_identical_across_processes(tmp_path):
              "--sigma", str(path)],
             capture_output=True,
             text=True,
+            env=env,
         ).stdout
         for _ in range(2)
     ]

@@ -25,13 +25,14 @@ from magari4.constants import (
     lemma3,
     lemma4,
     lemma5,
+    term_subst,
     term_table,
 )
 from magari4.formula import format_formula, parse, truth_table
 from magari4.preservation import ViolationWitness
 from magari4.selftest import canned_system, random_twelve_tables
 from magari4.synthesis import synthesize
-from magari4.tables import FuncTable, constant_table
+from magari4.tables import FuncTable, constant_table, points
 
 Z, R, S, O = ELEMENTS
 
@@ -396,6 +397,57 @@ def test_term_evaluation_matches_direct_composition():
     tab = term_table(term, ("p",), tables)
     for x in ELEMENTS:
         assert tab[(x,)] is tables["F2"][(tables["F1"][(x,)],)]
+
+
+def pointwise_value(term, valuation, tables, memo):
+    """Reference: one value of a term through FuncTable.apply, memoized by
+    node identity within one valuation."""
+    if isinstance(term, TermVar):
+        return valuation[term.name]
+    if id(term) not in memo:
+        args = tuple(pointwise_value(a, valuation, tables, memo) for a in term.args)
+        memo[id(term)] = tables[term.label].apply(args)
+    return memo[id(term)]
+
+
+def random_shared_term(rng, tables, var_order, size):
+    """A random term DAG: each new node takes its arguments from the nodes
+    built so far, and some nodes are substitution instances of earlier
+    ones, so subterm objects are shared as in the engine's terms."""
+    pool = [TermVar(name) for name in var_order]
+    for _ in range(size):
+        if len(pool) > len(var_order) and rng.random() < 0.25:
+            base = rng.choice(pool[len(var_order):])
+            pool.append(term_subst(base, {rng.choice(var_order): rng.choice(pool)}))
+            continue
+        label = rng.choice(sorted(tables))
+        args = tuple(rng.choice(pool) for _ in range(tables[label].arity))
+        pool.append(TermApply(label, args))
+    return pool[-1]
+
+
+@pytest.mark.parametrize("var_order", [("p",), ("p", "q")])
+def test_term_table_matches_pointwise_fold(var_order):
+    rng = make_rng(41 + len(var_order))
+    for _ in range(60):
+        tables = {}
+        for i in range(rng.randint(1, 4)):
+            arity = rng.randint(1, 3)
+            entries = tuple(rng.choice(ELEMENTS) for _ in range(4**arity))
+            tables[f"g{i}"] = FuncTable(arity, entries)
+        term = random_shared_term(rng, tables, var_order, rng.randint(1, 25))
+        tab = term_table(term, var_order, tables)
+        assert tab.arity == len(var_order)
+        for pt in points(len(var_order)):
+            expected = pointwise_value(term, dict(zip(var_order, pt)), tables, {})
+            assert tab[pt] is expected
+
+
+def test_term_table_rejects_wrong_argument_count():
+    tables = canned_system().tables()
+    term = TermApply("F1", (TermVar("p"),) * (tables["F1"].arity + 1))
+    with pytest.raises(ValueError):
+        term_table(term, ("p",), tables)
 
 
 def test_real_formula_membership_of_overridden_entries():

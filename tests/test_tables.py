@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from conftest import make_rng
 from magari4.algebra import ELEMENTS, Element
 from magari4.tables import (
     FuncTable,
@@ -81,6 +82,22 @@ def test_compose_against_pointwise_oracle():
     composed = compose(g, (t1, t2))
     for x in ELEMENTS:
         assert composed[(x,)] is g[(t1[(x,)], t2[(x,)])]
+
+
+def random_table(rng, arity: int) -> FuncTable:
+    return FuncTable(arity, tuple(rng.choice(ELEMENTS) for _ in range(4**arity)))
+
+
+def test_compose_matches_apply_on_random_tables():
+    rng = make_rng(31)
+    for _ in range(200):
+        g = random_table(rng, rng.randint(1, 3))
+        k = rng.randint(1, 3)
+        args = [random_table(rng, k) for _ in range(g.arity)]
+        composed = compose(g, args)
+        assert composed.arity == k
+        for pt in points(k):
+            assert composed[pt] is g[tuple(t[pt] for t in args)]
 
 
 def test_compose_projection_identity():
