@@ -88,10 +88,14 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _formula_table(text: str, names: tuple[str, ...] | None = None) -> FuncTable:
+    """The formula's table over names, by default its sorted free variables."""
+    f = parse(text)
+    return truth_table(f, names or tuple(sorted(free_vars(f))))
+
+
 def _cmd_table(args) -> int:
-    f = parse(args.formula)
-    names = _parse_vars(args.vars) or tuple(sorted(free_vars(f)))
-    table = truth_table(f, names)
+    table = _formula_table(args.formula, _parse_vars(args.vars))
     _emit(
         {"arity": table.arity, "entries": table.to_text().split(":", 1)[1]},
         args.json,
@@ -128,8 +132,7 @@ def _input_table(args) -> FuncTable:
         return FuncTable.from_text(args.table)
     if args.formula is None:
         raise _UsageError("give a formula or --table")
-    f = parse(args.formula)
-    return truth_table(f, tuple(sorted(free_vars(f))))
+    return _formula_table(args.formula)
 
 
 def _cmd_classify(args) -> int:
@@ -197,11 +200,10 @@ def _read_sigma_lines(path: str) -> list[tuple[str | None, str]]:
 def _sigma_member(body: str) -> FuncTable:
     if ":" in body and body.split(":", 1)[0].isdigit():
         return FuncTable.from_text(body)
-    f = parse(body)
-    names = tuple(sorted(free_vars(f)))
-    if not names:
+    table = _formula_table(body)
+    if table.arity == 0:
         raise _UsageError(f"system member {body!r} has no variables")
-    return truth_table(f, names)
+    return table
 
 
 def _cmd_closure(args) -> int:

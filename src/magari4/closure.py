@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
 
 from .algebra import ELEMENTS, Element
 from .tables import (
@@ -36,16 +35,6 @@ class SystemSigma:
         for label, table in self.members:
             if table.arity < 1:
                 raise ValueError(f"member {label!r} must have arity >= 1")
-
-    @classmethod
-    def of(cls, tables: Iterable[FuncTable | tuple[str, FuncTable]]) -> "SystemSigma":
-        members = []
-        for idx, item in enumerate(tables):
-            if isinstance(item, FuncTable):
-                members.append((f"g{idx + 1}", item))
-            else:
-                members.append(item)
-        return cls(tuple(members))
 
 
 @dataclass(frozen=True)

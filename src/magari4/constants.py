@@ -12,11 +12,14 @@ realize the constant tables for 0, r, s and 1.  The pipeline:
                F3/F4/F7/F11 until lemma3's entry conditions hold.
   * lemma5     bootstraps one low constant into all four via F3..F10.
 
-Every step's claim is verified on the realized table before the engine
-proceeds; a failed check is a hard error, never a fallback.  Derivations
-record the term (leaves are the variable p, or q inside binary
-intermediates; applications name system members), the realized table
-(recomputed from the term, never trusted), and the ordered claim trace.
+A TwelveSystem verifies each member's representability and violation
+witness when it is built, so the engine trusts the type.  Every step's
+claim is verified on the realized table before the engine proceeds; a
+failed check is a hard error, never a fallback.
+Derivations record the term (leaves are the variable p, or q inside
+binary intermediates; applications name system members), the realized
+table (recomputed from the term, never trusted), and the ordered claim
+trace.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
 from .algebra import ELEMENTS, HIGH, LOW, Element, delta
-from .formula import Formula, free_vars, parse, substitute_all, truth_table
+from .formula import Formula, Var, free_vars, parse, substitute_all, truth_table
 from .preservation import (
     ViolationWitness,
     builtin_relation,
@@ -152,6 +155,10 @@ class SystemMember:
 
 @dataclass(frozen=True)
 class TwelveSystem:
+    """Members F1..F12.  Every way of building one (the constructor, the
+    factories, dataclasses.replace) checks each member's representability
+    and witness here, once; the engine relies on that."""
+
     members: tuple[SystemMember, ...]
 
     def __post_init__(self) -> None:
@@ -185,37 +192,22 @@ class TwelveSystem:
 
     @classmethod
     def from_formulas(
-        cls,
-        formulas: Sequence[Formula | str] | Mapping[int, Formula | str],
-        witnesses: Mapping[int, ViolationWitness] | None = None,
+        cls, formulas: Sequence[Formula | str] | Mapping[int, Formula | str]
     ) -> "TwelveSystem":
         """Build a system from twelve formulas (index 1..12).
 
-        Tables are recomputed from the formulas; witnesses default to the
-        first violation in enumeration order.  Raises PreconditionViolated
+        Tables are recomputed from the formulas; each witness is the first
+        violation in enumeration order.  Raises PreconditionViolated
         naming the first index whose formula preserves its relation.
         """
-        if isinstance(formulas, Mapping):
-            missing = [i for i in range(1, 13) if i not in formulas]
-            if missing:
-                raise ValueError(
-                    "missing members: " + ", ".join(f"F{i}" for i in missing)
-                )
-            items = [formulas[i] for i in range(1, 13)]
-        else:
-            items = list(formulas)
-        if len(items) != 12:
-            raise ValueError(f"expected 12 formulas, got {len(items)}")
         members = []
-        for i, item in enumerate(items, start=1):
+        for i, item in enumerate(_twelve(formulas), start=1):
             formula = parse(item) if isinstance(item, str) else item
             var_order = tuple(sorted(free_vars(formula)))
             if not var_order:
                 raise ValueError(f"F{i} has no variables")
             table = truth_table(formula, var_order)
-            witness = witnesses.get(i) if witnesses else None
-            if witness is None:
-                witness = find_violation(table, builtin_relation(i))
+            witness = find_violation(table, builtin_relation(i))
             if witness is None:
                 raise PreconditionViolated(f"F{i} preserves R{i}", index=i)
             members.append(SystemMember(f"F{i}", formula, table, var_order, witness))
@@ -223,24 +215,30 @@ class TwelveSystem:
 
     @classmethod
     def from_tables(
-        cls,
-        tables: Sequence[FuncTable] | Mapping[int, FuncTable],
-        witnesses: Mapping[int, ViolationWitness] | None = None,
-        simplify: bool = True,
+        cls, tables: Sequence[FuncTable] | Mapping[int, FuncTable]
     ) -> "TwelveSystem":
         """Build a system from twelve tables by synthesizing a realizing
         formula for each (so the tables must respect the delta pairing)."""
-        if isinstance(tables, Mapping):
-            items = [tables[i] for i in range(1, 13)]
-        else:
-            items = list(tables)
         formulas = []
-        for t in items:
-            formula = synthesize(t, simplify=simplify)
+        for t in _twelve(tables):
+            formula = synthesize(t, simplify=True)
             if not free_vars(formula):  # all-zero table simplified to `0`
                 formula = synthesize(t, simplify=False)
             formulas.append(formula)
-        return cls.from_formulas(formulas, witnesses)
+        return cls.from_formulas(formulas)
+
+
+def _twelve(items: Sequence | Mapping[int, object]) -> list:
+    """Members 1..12 in order, from a sequence or a mapping keyed by index."""
+    if isinstance(items, Mapping):
+        missing = [i for i in range(1, 13) if i not in items]
+        if missing:
+            raise ValueError("missing members: " + ", ".join(f"F{i}" for i in missing))
+        return [items[i] for i in range(1, 13)]
+    items = list(items)
+    if len(items) != 12:
+        raise ValueError(f"expected 12 members, got {len(items)}")
+    return items
 
 
 def _verify_witness(m: SystemMember, i: int) -> None:
@@ -295,8 +293,6 @@ class Derivation:
 
 def _expand(term: Term, system: TwelveSystem, memo: dict[int, Formula]) -> Formula:
     if isinstance(term, TermVar):
-        from .formula import Var
-
         return Var(term.name)
     key = id(term)
     cached = memo.get(key)
@@ -336,46 +332,38 @@ def _gate(cond: bool, message: str) -> None:
         raise PreconditionViolated(message)
 
 
-def _collapse_member(r: _Runner, i: int, name: str, trace: list[TraceStep]) -> Term:
-    m = r.system.member(i)
-    _verify_witness(m, i)
-    w = m.witness
-    cols = ";".join("".join(e.token for e in col) for col in w.selected_columns)
-    img = "".join(e.token for e in w.image)
-    trace.append(
-        (f"lemma{i}.witness", f"F{i} maps columns ({cols}) of R{i} to ({img}) outside")
-    )
-    return TermApply(m.label, (TermVar("p"),) * m.table.arity)
-
-
 def lemma1_A(system: TwelveSystem) -> Derivation:
     """Collapse F1 onto one variable; the result maps 0 into {s, 1}."""
-    r = _Runner(system)
-    trace: list[TraceStep] = []
-    term = _collapse_member(r, 1, "A", trace)
-    realized = r.tabulate(term)
-    a0 = realized.entries[0]
-    r.check(
-        a0 in HIGH,
-        trace,
-        "lemma1.A",
-        f"A := F1 with every variable set to p; A[0] = {a0.token}, in {{s,1}}",
-    )
-    return r.unary(term, realized, trace)
+    return _collapse(system, 1, "A", _Z, HIGH)
 
 
 def lemma2_B(system: TwelveSystem) -> Derivation:
     """Collapse F2 onto one variable; the result maps 1 into {0, r}."""
+    return _collapse(system, 2, "B", _O, LOW)
+
+
+def _collapse(
+    system: TwelveSystem, i: int, name: str, x: Element, allowed: frozenset[Element]
+) -> Derivation:
+    """F_i with every variable set to p, checked to map x into allowed."""
     r = _Runner(system)
-    trace: list[TraceStep] = []
-    term = _collapse_member(r, 2, "B", trace)
+    m = system.member(i)
+    w = m.witness
+    cols = ";".join("".join(e.token for e in col) for col in w.selected_columns)
+    img = "".join(e.token for e in w.image)
+    trace: list[TraceStep] = [
+        (f"lemma{i}.witness", f"F{i} maps columns ({cols}) of R{i} to ({img}) outside")
+    ]
+    term = TermApply(m.label, (TermVar("p"),) * m.table.arity)
     realized = r.tabulate(term)
-    b1 = realized.entries[3]
+    v = realized.entries[x]
+    within = ",".join(e.token for e in ELEMENTS if e in allowed)
     r.check(
-        b1 in LOW,
+        v in allowed,
         trace,
-        "lemma2.B",
-        f"B := F2 with every variable set to p; B[1] = {b1.token}, in {{0,r}}",
+        f"lemma{i}.{name}",
+        f"{name} := F{i} with every variable set to p; "
+        f"{name}[{x.token}] = {v.token}, in {{{within}}}",
     )
     return r.unary(term, realized, trace)
 
@@ -414,7 +402,6 @@ def lemma3(A: Derivation, B: Derivation, system: TwelveSystem) -> Derivation:
 
     trace.append(("lemma3.case2", f"B[0] = {b[0].token} lands in {{s,1}}; use F12"))
     m12 = system.member(12)
-    _verify_witness(m12, 12)
     w = m12.witness
     img_a, img_b = w.image
     r.check(
@@ -460,7 +447,7 @@ def lemma3(A: Derivation, B: Derivation, system: TwelveSystem) -> Derivation:
         "both in {0,r}",
     )
     inner_term = term_subst(dprime_term, {"q": B.term})
-    inner = term_table(inner_term, ("p",), r.tables)
+    inner = r.tabulate(inner_term)
     r.check(
         all(v in LOW for v in inner.entries),
         trace,
@@ -468,7 +455,7 @@ def lemma3(A: Derivation, B: Derivation, system: TwelveSystem) -> Derivation:
         "D'[p, B(p)] ranges in {0,r}",
     )
     mid_term = term_subst(B.term, {"p": inner_term})
-    mid = term_table(mid_term, ("p",), r.tables)
+    mid = r.tabulate(mid_term)
     r.check(
         all(v in HIGH for v in mid.entries),
         trace,
@@ -504,8 +491,7 @@ def lemma4(A: Derivation, B: Derivation, system: TwelveSystem) -> Derivation:
     trace.append(
         ("lemma4.entry", f"B[sigma]={b[2].token} differs from B[1]={b[3].token}")
     )
-    cand = Derivation(B.term, ("p",), B.realized, tuple(trace), system)
-    return _resolve(r, A, cand)
+    return _resolve(r, A, r.unary(B.term, B.realized, trace))
 
 
 def _resolve(r: _Runner, A: Derivation, cand: Derivation) -> Derivation:
@@ -540,7 +526,6 @@ def _case_low_one(r: _Runner, A: Derivation, cand: Derivation) -> Derivation:
     )
 
     m3 = r.system.member(3)
-    _verify_witness(m3, 3)
     alphas, img3 = _witness_values(m3)
     r.check(
         img3 in (_R, _O),
@@ -551,7 +536,7 @@ def _case_low_one(r: _Runner, A: Derivation, cand: Derivation) -> Derivation:
     e_term = TermApply(
         m3.label, tuple(cand.term if a is _Z else TermVar("p") for a in alphas)
     )
-    e_tab = term_table(e_term, ("p",), r.tables)
+    e_tab = r.tabulate(e_term)
     r.check(
         e_tab.entries[2] in (_R, _O),
         trace,
@@ -565,7 +550,7 @@ def _case_low_one(r: _Runner, A: Derivation, cand: Derivation) -> Derivation:
     else:
         estar_term = term_subst(cand.term, {"p": e_term})
         trace.append(("lemma4.E*", "E* := B[E] (E[sigma] = 1)"))
-    estar = term_table(estar_term, ("p",), r.tables)
+    estar = r.tabulate(estar_term)
     r.check(estar.entries[2] is _R, trace, "lemma4.E*", "E*[sigma] = r")
     e1 = estar.entries[3]
     r.check(
@@ -573,12 +558,9 @@ def _case_low_one(r: _Runner, A: Derivation, cand: Derivation) -> Derivation:
     )
     if e1 is _R:
         trace.append(("lemma4.case1", "E*[sigma] = E*[1] = r: close via lemma3"))
-        return lemma3(
-            A, Derivation(estar_term, ("p",), estar, tuple(trace), r.system), r.system
-        )
+        return lemma3(A, r.unary(estar_term, estar, trace), r.system)
 
     m7 = r.system.member(7)
-    _verify_witness(m7, 7)
     betas, img7 = _witness_values(m7)
     r.check(
         img7 is _O,
@@ -591,7 +573,7 @@ def _case_low_one(r: _Runner, A: Derivation, cand: Derivation) -> Derivation:
         for b in betas
     )
     h_term = TermApply(m7.label, h_args)
-    h_tab = term_table(h_term, ("p",), r.tables)
+    h_tab = r.tabulate(h_term)
     r.check(
         h_tab.entries[2] is _O,
         trace,
@@ -602,7 +584,7 @@ def _case_low_one(r: _Runner, A: Derivation, cand: Derivation) -> Derivation:
     r.check(h1 in HIGH, trace, "lemma4.H", f"H[1] = {h1.token}, in {{s,1}}")
     if h1 is _O:
         bh_term = term_subst(cand.term, {"p": h_term})
-        bh = term_table(bh_term, ("p",), r.tables)
+        bh = r.tabulate(bh_term)
         r.check(
             bh.entries[2] is bh.entries[3] and bh.entries[3] in LOW,
             trace,
@@ -610,12 +592,9 @@ def _case_low_one(r: _Runner, A: Derivation, cand: Derivation) -> Derivation:
             f"B[H(p)] maps sigma and 1 alike to {bh.entries[3].token}: "
             "close via lemma3",
         )
-        return lemma3(
-            A, Derivation(bh_term, ("p",), bh, tuple(trace), r.system), r.system
-        )
+        return lemma3(A, r.unary(bh_term, bh, trace), r.system)
 
     m11 = r.system.member(11)
-    _verify_witness(m11, 11)
     img_g, img_d = m11.witness.image
     r.check(
         img_g is img_d,
@@ -632,7 +611,7 @@ def _case_low_one(r: _Runner, A: Derivation, cand: Derivation) -> Derivation:
     j_term = TermApply(
         m11.label, tuple(j_slot[col] for col in m11.witness.selected_columns)
     )
-    j_tab = term_table(j_term, ("p",), r.tables)
+    j_tab = r.tabulate(j_term)
     r.check(
         j_tab.entries[2] is j_tab.entries[3],
         trace,
@@ -645,16 +624,14 @@ def _case_low_one(r: _Runner, A: Derivation, cand: Derivation) -> Derivation:
     else:
         jstar_term = term_subst(cand.term, {"p": j_term})
         trace.append(("lemma4.J*", "J* := B[J] (J[1] in {s,1})"))
-    jstar = term_table(jstar_term, ("p",), r.tables)
+    jstar = r.tabulate(jstar_term)
     r.check(
         jstar.entries[2] is jstar.entries[3] and jstar.entries[3] in LOW,
         trace,
         "lemma4.J*",
         f"J*[sigma] = J*[1] = {jstar.entries[3].token}, in {{0,r}}: close via lemma3",
     )
-    return lemma3(
-        A, Derivation(jstar_term, ("p",), jstar, tuple(trace), r.system), r.system
-    )
+    return lemma3(A, r.unary(jstar_term, jstar, trace), r.system)
 
 
 def _case_low_zero(r: _Runner, A: Derivation, cand: Derivation) -> Derivation:
@@ -669,7 +646,6 @@ def _case_low_zero(r: _Runner, A: Derivation, cand: Derivation) -> Derivation:
         "candidate maps sigma to r and 1 to 0",
     )
     m4 = r.system.member(4)
-    _verify_witness(m4, 4)
     eps, img4 = _witness_values(m4)
     r.check(
         img4 in (_R, _S),
@@ -680,7 +656,7 @@ def _case_low_zero(r: _Runner, A: Derivation, cand: Derivation) -> Derivation:
     s_term = TermApply(
         m4.label, tuple(cand.term if e is _Z else TermVar("p") for e in eps)
     )
-    s_tab = term_table(s_term, ("p",), r.tables)
+    s_tab = r.tabulate(s_term)
     r.check(
         s_tab.entries[3] in (_R, _S),
         trace,
@@ -694,7 +670,7 @@ def _case_low_zero(r: _Runner, A: Derivation, cand: Derivation) -> Derivation:
     else:
         sstar_term = term_subst(cand.term, {"p": s_term})
         trace.append(("lemma4.S*", "S* := B[S] (S[1] = s)"))
-    sstar = term_table(sstar_term, ("p",), r.tables)
+    sstar = r.tabulate(sstar_term)
     r.check(sstar.entries[3] is _R, trace, "lemma4.S*", "S*[1] = r")
     r.check(
         sstar.entries[2] in LOW,
@@ -702,9 +678,7 @@ def _case_low_zero(r: _Runner, A: Derivation, cand: Derivation) -> Derivation:
         "lemma4.S*",
         f"S*[sigma] = {sstar.entries[2].token}, in {{0,r}}",
     )
-    return _resolve(
-        r, A, Derivation(sstar_term, ("p",), sstar, tuple(trace), r.system)
-    )
+    return _resolve(r, A, r.unary(sstar_term, sstar, trace))
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +713,7 @@ def lemma5(
     kval = k.realized.entries[0]
 
     c2_term = term_subst(A.term, {"p": k.term})
-    c2_tab = term_table(c2_term, ("p",), r.tables)
+    c2_tab = r.tabulate(c2_term)
     c2 = c2_tab.entries[0]
     r.check(
         len(set(c2_tab.entries)) == 1 and c2 in HIGH,
@@ -759,15 +733,13 @@ def lemma5(
     out: dict[Element, Derivation] = {}
     for value in ELEMENTS:
         term = consts[value]
-        realized = term_table(term, ("p",), r.tables)
+        realized = r.tabulate(term)
         if realized != constant_table(value, 1):
             raise InternalProofCheckFailed(
                 f"term for constant {value.token} realizes {realized.to_text()}"
             )
-        final_trace = tuple(
-            trace + [("lemma5.done", f"constant {value.token} realized")]
-        )
-        out[value] = Derivation(term, ("p",), realized, final_trace, system)
+        done = ("lemma5.done", f"constant {value.token} realized")
+        out[value] = r.unary(term, realized, trace + [done])
     return out
 
 
@@ -777,14 +749,13 @@ def _extend(
     """Substitute already-derived constants into F_i's witness positions,
     producing the constant the witness image names."""
     m = r.system.member(i)
-    _verify_witness(m, i)
     vals, img = _witness_values(m)
     if any(v not in consts for v in vals):
         raise InternalProofCheckFailed(
             f"F{i} witness needs constants not yet derived"
         )
     term = TermApply(m.label, tuple(consts[v] for v in vals))
-    tab = term_table(term, ("p",), r.tables)
+    tab = r.tabulate(term)
     r.check(
         len(set(tab.entries)) == 1 and tab.entries[0] is img and img not in consts,
         trace,
@@ -797,16 +768,8 @@ def _extend(
 
 def derive_all_constants(system: TwelveSystem) -> dict[Element, Derivation]:
     """Run the full pipeline; returns verified derivations for 0, r, s, 1."""
-    for i in range(1, 13):
-        _verify_witness(system.member(i), i)
     A = lemma1_A(system)
     B = lemma2_B(system)
     b = B.realized.entries
     k = lemma3(A, B, system) if b[2] is b[3] else lemma4(A, B, system)
-    result = lemma5(k, A, system)
-    for value, d in result.items():
-        if d.realized != constant_table(value, 1):
-            raise InternalProofCheckFailed(
-                f"derivation for {value.token} realizes {d.realized.to_text()}"
-            )
-    return result
+    return lemma5(k, A, system)

@@ -194,7 +194,10 @@ class _Parser:
 def parse(text: str) -> Formula:
     """Parse formula text into an AST; raises ParseError with a position."""
     p = _Parser(text)
-    f = p.formula()
+    try:
+        f = p.formula()
+    except RecursionError:
+        raise ParseError("formula nested too deeply", p.tok_pos) from None
     if p.tok is not None:
         raise ParseError(f"trailing input {p.tok!r}", p.tok_pos)
     return f

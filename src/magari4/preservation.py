@@ -96,11 +96,7 @@ def preserves(f: FuncTable, relation: RelationMatrix) -> bool:
 
     For a unary relation this is closure of the column set under f.
     """
-    colset = set(relation.columns)
-    return all(
-        _image(f, sel, relation.arity) in colset
-        for sel in itertools.product(relation.columns, repeat=f.arity)
-    )
+    return find_violation(f, relation) is None
 
 
 def find_violation(f: FuncTable, relation: RelationMatrix) -> ViolationWitness | None:

@@ -65,21 +65,22 @@ FIXED_POINT_TRIPLES: tuple[tuple[int, int, int], ...] = (
 )
 
 DEFAULT_SEED = 1789
+_RANDOM_SYSTEMS = 25
+_ARITIES = (1, 2)
+_MAX_TRIES = 10_000
 
 
 def canned_system() -> TwelveSystem:
     return TwelveSystem.from_formulas(CANNED_FORMULAS)
 
 
-def random_twelve_tables(
-    rng: random.Random, arities: tuple[int, ...] = (1, 2), max_tries: int = 10_000
-) -> dict[int, FuncTable]:
+def random_twelve_tables(rng: random.Random) -> dict[int, FuncTable]:
     """Twelve delta-respecting tables, the i-th violating R_i."""
     out: dict[int, FuncTable] = {}
     for i in range(1, 13):
         relation = builtin_relation(i)
-        for _ in range(max_tries):
-            table = random_delta_preserving_table(rng.choice(arities), rng)
+        for _ in range(_MAX_TRIES):
+            table = random_delta_preserving_table(rng.choice(_ARITIES), rng)
             if find_violation(table, relation) is not None:
                 out[i] = table
                 break
@@ -137,9 +138,9 @@ def _canned_checks() -> tuple[bool, bool, bool]:
     return derived_ok, expansion_ok, oracle_ok
 
 
-def _random_batch(seed: int, count: int) -> bool:
+def _random_batch(seed: int) -> bool:
     rng = random.Random(seed)
-    for _ in range(count):
+    for _ in range(_RANDOM_SYSTEMS):
         system = TwelveSystem.from_tables(random_twelve_tables(rng))
         result = derive_all_constants(system)
         if any(result[v].realized != constant_table(v, 1) for v in ELEMENTS):
@@ -147,9 +148,7 @@ def _random_batch(seed: int, count: int) -> bool:
     return True
 
 
-def run_selftest(
-    seed: int = DEFAULT_SEED, random_systems: int = 25
-) -> list[tuple[str, bool]]:
+def run_selftest(seed: int = DEFAULT_SEED) -> list[tuple[str, bool]]:
     checks: list[tuple[str, bool]] = []
     for name, holds in magari_identity_report():
         checks.append((f"identity holds: {name}", holds))
@@ -180,9 +179,9 @@ def run_selftest(
     )
     checks.append(
         (
-            f"{random_systems} randomized twelve-systems derive all four "
+            f"{_RANDOM_SYSTEMS} randomized twelve-systems derive all four "
             f"constants (seed {seed})",
-            _random_batch(seed, random_systems),
+            _random_batch(seed),
         )
     )
     return checks

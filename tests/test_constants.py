@@ -14,6 +14,7 @@ import random
 import pytest
 
 from conftest import canned_with, make_rng
+from magari4 import constants
 from magari4.algebra import ELEMENTS
 from magari4.closure import expressible_constants
 from magari4.constants import (
@@ -117,6 +118,20 @@ def test_member_count_enforced():
         TwelveSystem.from_formulas(["# p"] * 11)
     with pytest.raises(ValueError, match="F12"):
         TwelveSystem.from_formulas({i: "# p" for i in range(1, 12)})
+
+
+def test_from_tables_checks_members_before_synthesis(monkeypatch):
+    tables = random_twelve_tables(make_rng(15))
+
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("synthesized before the member check")
+
+    monkeypatch.setattr(constants, "synthesize", no_synthesis)
+    with pytest.raises(ValueError, match="expected 12 members, got 11"):
+        TwelveSystem.from_tables([tables[i] for i in range(1, 12)])
+    del tables[7]
+    with pytest.raises(ValueError, match="missing members: F7$"):
+        TwelveSystem.from_tables(tables)
 
 
 def test_randomized_systems_expand_soundly():

@@ -98,6 +98,13 @@ def test_parse_errors_carry_positions():
         parse("p ->")
 
 
+def test_deep_nesting_is_parse_error():
+    # the parser recurses once per level; running out of stack is reported
+    # as malformed input, not as a RecursionError
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse("(" * 200 + "p" + ")" * 200)
+
+
 def test_sigma_of_contradiction_is_sigma_everywhere():
     f = parse("# (p & ~p)")
     for v in all_valuations(("p",)):
