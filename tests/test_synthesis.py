@@ -98,6 +98,17 @@ def test_synthesize_rejects_exactly_the_violating_tables():
                 synthesize(table)
 
 
+def test_not_representable_message_pinned():
+    # the message names the first violating selection of the delta-pairing
+    # relation in lexicographic order
+    with pytest.raises(NotRepresentable) as info:
+        synthesize(FuncTable.from_text("1:0s00"))
+    assert str(info.value) == (
+        "table maps same-class inputs ((<Element.ZERO: 0>, <Element.RHO: 1>),) "
+        "to distinct classes (<Element.ZERO: 0>, <Element.SIGMA: 2>)"
+    )
+
+
 def test_synthesize_zero_arity_rejected():
     with pytest.raises(ValueError):
         synthesize(FuncTable(0, (S,)))
