@@ -237,9 +237,6 @@ def _cmd_derive_constants(args) -> int:
         if index in formulas:
             raise _UsageError(f"duplicate member F{index}")
         formulas[index] = body
-    missing = [i for i in range(1, 13) if i not in formulas]
-    if missing:
-        raise _UsageError(f"missing members: {', '.join(f'F{i}' for i in missing)}")
     system = TwelveSystem.from_formulas(formulas)
     result = derive_all_constants(system)
     payload = {

@@ -28,14 +28,15 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
 from .algebra import ELEMENTS, HIGH, LOW, Element, delta
-from .formula import Formula, Var, free_vars, parse, substitute_all, truth_table
+from .formula import Const, Formula, Var, free_vars, parse, substitute_all, truth_table
 from .preservation import (
     ViolationWitness,
+    _image,
     builtin_relation,
     find_violation,
     preserves_delta_pairing,
 )
-from .synthesis import synthesize
+from .synthesis import default_var_names, synthesize
 from .tables import (
     FuncTable,
     compose_packed,
@@ -207,10 +208,7 @@ class TwelveSystem:
             if not var_order:
                 raise ValueError(f"F{i} has no variables")
             table = truth_table(formula, var_order)
-            witness = find_violation(table, builtin_relation(i))
-            if witness is None:
-                raise PreconditionViolated(f"F{i} preserves R{i}", index=i)
-            members.append(SystemMember(f"F{i}", formula, table, var_order, witness))
+            members.append(_member(i, formula, table, var_order))
         return cls(tuple(members))
 
     @classmethod
@@ -218,14 +216,26 @@ class TwelveSystem:
         cls, tables: Sequence[FuncTable] | Mapping[int, FuncTable]
     ) -> "TwelveSystem":
         """Build a system from twelve tables by synthesizing a realizing
-        formula for each (so the tables must respect the delta pairing)."""
-        formulas = []
-        for t in _twelve(tables):
-            formula = synthesize(t, simplify=True)
-            if not free_vars(formula):  # all-zero table simplified to `0`
-                formula = synthesize(t, simplify=False)
-            formulas.append(formula)
-        return cls.from_formulas(formulas)
+        formula for each (so the tables must respect the delta pairing);
+        F_i keeps its table, which synthesis checked, over p1..pn."""
+        members = []
+        for i, table in enumerate(_twelve(tables), start=1):
+            names = default_var_names(table.arity)
+            formula = synthesize(table, simplify=True)
+            if isinstance(formula, Const):  # all-zero table simplified to `0`
+                formula = synthesize(table, simplify=False)
+                table = truth_table(formula, names)
+            members.append(_member(i, formula, table, names))
+        return cls(tuple(members))
+
+
+def _member(
+    i: int, formula: Formula, table: FuncTable, var_order: tuple[str, ...]
+) -> SystemMember:
+    witness = find_violation(table, builtin_relation(i))
+    if witness is None:
+        raise PreconditionViolated(f"F{i} preserves R{i}", index=i)
+    return SystemMember(f"F{i}", formula, table, var_order, witness)
 
 
 def _twelve(items: Sequence | Mapping[int, object]) -> list:
@@ -234,6 +244,9 @@ def _twelve(items: Sequence | Mapping[int, object]) -> list:
         missing = [i for i in range(1, 13) if i not in items]
         if missing:
             raise ValueError("missing members: " + ", ".join(f"F{i}" for i in missing))
+        extra = sorted(k for k in items if k not in range(1, 13))
+        if extra:
+            raise ValueError("unexpected members: " + ", ".join(f"F{k}" for k in extra))
         return [items[i] for i in range(1, 13)]
     items = list(items)
     if len(items) != 12:
@@ -253,10 +266,7 @@ def _verify_witness(m: SystemMember, i: int) -> None:
         )
     if any(col not in colset for col in w.selected_columns):
         raise PreconditionViolated(f"F{i} witness uses non-columns of R{i}", index=i)
-    image = tuple(
-        m.table.apply(tuple(col[r] for col in w.selected_columns))
-        for r in range(relation.arity)
-    )
+    image = _image(m.table, w.selected_columns, relation.arity)
     if image != w.image or image in colset:
         raise PreconditionViolated(f"F{i} does not violate R{i} as claimed", index=i)
 

@@ -321,12 +321,13 @@ def truth_table(f: Formula, var_order: Sequence[str]) -> FuncTable:
     var_order = tuple(var_order)
     if len(set(var_order)) != len(var_order):
         raise ValueError("duplicate variable in var_order")
-    missing = free_vars(f) - set(var_order)
-    if missing:
-        raise ValueError(f"var_order misses free variable(s): {sorted(missing)}")
     n = len(var_order)
     env = {name: projection_packed(n, i) for i, name in enumerate(var_order)}
-    return unpack(_packed_walk(f, env, n, {}), n)
+    try:
+        return unpack(_packed_walk(f, env, n, {}), n)
+    except KeyError:  # a variable outside var_order; name every one of them
+        missing = sorted(free_vars(f) - set(var_order))
+        raise ValueError(f"var_order misses free variable(s): {missing}") from None
 
 
 def _joint_vars(f: Formula, g: Formula) -> tuple[str, ...]:

@@ -199,7 +199,8 @@ def delta_pairing_relation() -> RelationMatrix:
 def preserves_delta_pairing(f: FuncTable) -> bool:
     """True iff the delta class of f's output depends only on the classes of
     its inputs; exactly the tables realizable by formulas."""
-    return preserves(f, delta_pairing_relation())
+    e = f.entries
+    return all(len({e[k] in HIGH for k in blk}) == 1 for blk in _blocks(f.arity))
 
 
 def classify(f: FuncTable) -> frozenset[int]:
@@ -214,12 +215,13 @@ def classify(f: FuncTable) -> frozenset[int]:
 _CLASS_ELEMS = {False: (_Z, _R), True: (_S, _O)}
 
 
-def _blocks(arity: int) -> list[list[int]]:
+@lru_cache(maxsize=None)
+def _blocks(arity: int) -> tuple[tuple[int, ...], ...]:
     """Linear indices of each class-vector block, blocks in a fixed order."""
     out: dict[tuple[bool, ...], list[int]] = {}
     for idx, pt in enumerate(points(arity)):
         out.setdefault(tuple(x in HIGH for x in pt), []).append(idx)
-    return [out[key] for key in sorted(out)]
+    return tuple(tuple(out[key]) for key in sorted(out))
 
 
 def count_delta_preserving(arity: int) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .algebra import Connective, Element
 from .formula import Binary, Const, Formula, Var, box_formula, iff_formula, truth_table
-from .preservation import find_violation, delta_pairing_relation
+from .preservation import delta_pairing_relation, find_violation, preserves_delta_pairing
 from .tables import FuncTable, points
 
 
@@ -70,8 +70,8 @@ def synthesize(
     """
     if f.arity == 0:
         raise ValueError("arity-0 table: use a constant formula directly")
-    witness = find_violation(f, delta_pairing_relation())
-    if witness is not None:
+    if not preserves_delta_pairing(f):
+        witness = find_violation(f, delta_pairing_relation())
         raise NotRepresentable(
             f"table maps same-class inputs {witness.selected_columns} to "
             f"distinct classes {witness.image}"

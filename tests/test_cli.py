@@ -257,7 +257,16 @@ def test_derive_constants_missing_member(tmp_path, capsys):
     path.write_text("\n".join(f"F{i}: # p" for i in range(1, 12)) + "\n")
     code, _, err = invoke(capsys, "derive-constants", "--sigma", str(path))
     assert code == 2
-    assert "F12" in err
+    assert err == "error: missing members: F12\n"
+
+
+def test_derive_constants_unexpected_member(tmp_path, capsys):
+    path = _write_canned(tmp_path)
+    path.write_text(path.read_text() + "F13: p\n")
+    code, out, err = invoke(capsys, "derive-constants", "--sigma", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: unexpected members: F13\n"
 
 
 def test_derive_constants_duplicate_member(tmp_path, capsys):

@@ -34,7 +34,7 @@ from magari4.constants import (
 )
 from magari4.formula import format_formula, parse, truth_table
 from magari4.preservation import ViolationWitness
-from magari4.selftest import canned_system, random_twelve_tables
+from magari4.selftest import CANNED_FORMULAS, canned_system, random_twelve_tables
 from magari4.synthesis import synthesize
 from magari4.tables import FuncTable, constant_table, points
 
@@ -110,7 +110,36 @@ def test_from_tables_round_trip():
     tables = random_twelve_tables(rng)
     sysm = TwelveSystem.from_tables(tables)
     for i in range(1, 13):
-        assert sysm.member(i).table == tables[i]
+        m = sysm.member(i)
+        assert m.table == tables[i]
+        assert m.var_order == tuple(f"p{k}" for k in range(1, m.table.arity + 1))
+
+
+def test_from_tables_keeps_the_checked_tables(monkeypatch):
+    # synthesize(simplify=True) has compared each formula's table with its
+    # input; from_tables takes that table instead of tabulating again
+    tables = canned_system().tables()
+    inputs = {i: tables[f"F{i}"] for i in range(1, 13)}
+
+    def no_tabulation(*args, **kwargs):
+        raise AssertionError("from_tables tabulated a member")
+
+    monkeypatch.setattr(constants, "truth_table", no_tabulation)
+    sysm = TwelveSystem.from_tables(inputs)
+    for i in range(1, 13):
+        m = sysm.member(i)
+        assert m.table == inputs[i]
+        assert m.var_order == tuple(f"p{k}" for k in range(1, m.table.arity + 1))
+
+
+def test_from_tables_tabulates_the_all_zero_fallback():
+    # an all-zero table simplifies to the constant 0, which has no variable;
+    # the unsimplified formula takes its place
+    tables = {**random_twelve_tables(make_rng(12)), 2: FuncTable.from_text("1:0000")}
+    m = TwelveSystem.from_tables(tables).member(2)
+    assert m.table == tables[2]
+    assert m.var_order == ("p1",)
+    assert truth_table(m.formula, ("p1",)) == tables[2]
 
 
 def test_member_count_enforced():
@@ -118,6 +147,10 @@ def test_member_count_enforced():
         TwelveSystem.from_formulas(["# p"] * 11)
     with pytest.raises(ValueError, match="F12"):
         TwelveSystem.from_formulas({i: "# p" for i in range(1, 12)})
+    with pytest.raises(ValueError, match="unexpected members: F13$"):
+        TwelveSystem.from_formulas({**CANNED_FORMULAS, 13: "p"})
+    with pytest.raises(ValueError, match="unexpected members: F0, F13$"):
+        TwelveSystem.from_formulas({**CANNED_FORMULAS, 13: "p", 0: "q"})
 
 
 def test_from_tables_checks_members_before_synthesis(monkeypatch):

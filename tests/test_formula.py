@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 from conftest import all_valuations, make_rng, random_formula
+from magari4 import formula
 from magari4.algebra import ELEMENTS, Connective, delta
 from magari4.formula import (
     Binary,
@@ -184,10 +185,22 @@ def test_truth_table_zero_arity():
 
 
 def test_truth_table_var_order_errors():
-    with pytest.raises(ValueError):
+    missing = r"^var_order misses free variable\(s\): \['q'\]$"
+    with pytest.raises(ValueError, match=missing):
         truth_table(parse("p & q"), ("p",))
+    with pytest.raises(ValueError, match=r"\['q', 'r'\]$"):
+        truth_table(parse("r | (p & q)"), ("p",))
     with pytest.raises(ValueError):
         truth_table(parse("p"), ("p", "p"))
+
+
+def test_truth_table_walks_once(monkeypatch):
+    # free variables are collected only to name a missing one
+    def no_free_vars(f):
+        raise AssertionError("truth_table collected free variables")
+
+    monkeypatch.setattr(formula, "free_vars", no_free_vars)
+    assert truth_table(parse("p & q"), ("p", "q", "r")).arity == 3
 
 
 def test_truth_table_matches_naive_evaluation():

@@ -239,6 +239,28 @@ def test_every_builtin_relation_has_a_small_violator():
     assert not missing, f"no small violator found for relations {missing}"
 
 
+def test_class_vector_check_matches_relation_search():
+    # the one-pass class-vector check against the 8**arity search over the
+    # delta-pairing relation, which stays the reference
+    relation = delta_pairing_relation()
+    for entries in itertools.product(ELEMENTS, repeat=4):
+        table = FuncTable(1, entries)
+        searched = find_violation(table, relation) is None
+        assert preserves_delta_pairing(table) is searched
+    rng = make_rng(23)
+    for arity in (2, 3):
+        for k in range(60):
+            table = random_delta_preserving_table(arity, rng)
+            broken = k % 2 == 1
+            if broken:  # move one entry to the other delta class
+                entries = list(table.entries)
+                pos = rng.randrange(len(entries))
+                entries[pos] = rng.choice((Z, R) if entries[pos] in (S, O) else (S, O))
+                table = FuncTable(arity, tuple(entries))
+            assert preserves_delta_pairing(table) is not broken
+            assert (find_violation(table, relation) is None) is not broken
+
+
 def test_delta_pairing_relation_columns():
     m = delta_pairing_relation()
     assert set(m.columns) == {
