@@ -32,7 +32,7 @@ from .formula import (
     parse,
     truth_table,
 )
-from .preservation import classify, find_violation, lookup_relation
+from .preservation import classify, column_text, find_violation, lookup_relation
 from .selftest import DEFAULT_SEED, run_selftest
 from .synthesis import NotRepresentable, synthesize
 from .tables import FuncTable, constant_table
@@ -72,8 +72,8 @@ def _emit(payload: dict, as_json: bool, text: str) -> None:
 
 def _witness_payload(witness) -> dict:
     return {
-        "columns": ["".join(e.token for e in col) for col in witness.selected_columns],
-        "image": "".join(e.token for e in witness.image),
+        "columns": [column_text(col) for col in witness.selected_columns],
+        "image": column_text(witness.image),
     }
 
 

@@ -6,6 +6,12 @@ composition with the system's members until it stabilizes.  Because
 equivalence over the four-element algebra is table equality, term identity
 plays no role: the fixpoint is exactly the set of k-ary operations the
 system can express with variables available (and no constants assumed).
+
+The fixpoint stops as soon as the fragment holds every k-ary table it could
+ever hold: all 4**(4**k) tables, or only the delta-preserving ones when
+every member preserves the delta pairing (compositions and projections
+preserve it too).  A fixpoint that needs more than COMPOSE_BUDGET
+compositions is refused with ClosureBudgetExceeded.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import ELEMENTS, Element
+from .preservation import count_delta_preserving, preserves_delta_pairing
 from .tables import (
     FuncTable,
     compose_packed,
@@ -22,6 +29,16 @@ from .tables import (
     projection_packed,
     unpack,
 )
+
+
+# Table compositions one closure_fragment call may make.  A delta-preserving
+# system of up to twelve binary members needs at most 12 * 64**2 of them at
+# k=1; the binary fragment of {p -> q, # p, ~ p} would need over 10**8.
+COMPOSE_BUDGET = 2**18
+
+
+class ClosureBudgetExceeded(ValueError):
+    """The fixpoint needs more than COMPOSE_BUDGET table compositions."""
 
 
 @dataclass(frozen=True)
@@ -56,8 +73,13 @@ def closure_fragment(sigma: SystemSigma, k: int) -> ClosureFragment:
         raise ValueError(f"fragment arity must lie in 1..3, got {k}")
     size = 4**k
     flats = [(t.arity, [int(e) for e in t.entries]) for _, t in sigma.members]
+    if all(preserves_delta_pairing(t) for _, t in sigma.members):
+        full = count_delta_preserving(k)  # compositions stay in this set
+    else:
+        full = 4**size
     current: set[int] = {projection_packed(k, i) for i in range(k)}
     frontier = sorted(current)
+    calls = 0
     while frontier:
         old = sorted(current.difference(frontier))
         new: set[int] = set()
@@ -68,12 +90,24 @@ def closure_fragment(sigma: SystemSigma, k: int) -> ClosureFragment:
                     continue
                 pools = [frontier if is_new else old for is_new in pattern]
                 for combo in itertools.product(*pools):
+                    calls += 1
+                    if calls > COMPOSE_BUDGET:
+                        raise ClosureBudgetExceeded(
+                            f"the arity-{k} closure needs more than "
+                            f"{COMPOSE_BUDGET} table compositions"
+                        )
                     h = compose_packed(flat, combo, size)
                     if h not in current:
                         new.add(h)
+                        if len(current) + len(new) == full:
+                            return _fragment(k, current | new)
         current |= new
         frontier = sorted(new)
-    return ClosureFragment(k, frozenset(unpack(p, k) for p in current))
+    return _fragment(k, current)
+
+
+def _fragment(k: int, packed: set[int]) -> ClosureFragment:
+    return ClosureFragment(k, frozenset(unpack(p, k) for p in packed))
 
 
 def expressible_constants(sigma: SystemSigma) -> frozenset[Element]:

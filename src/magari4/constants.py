@@ -33,6 +33,7 @@ from .preservation import (
     ViolationWitness,
     _image,
     builtin_relation,
+    column_text,
     find_violation,
     preserves_delta_pairing,
 )
@@ -359,8 +360,8 @@ def _collapse(
     r = _Runner(system)
     m = system.member(i)
     w = m.witness
-    cols = ";".join("".join(e.token for e in col) for col in w.selected_columns)
-    img = "".join(e.token for e in w.image)
+    cols = ";".join(map(column_text, w.selected_columns))
+    img = column_text(w.image)
     trace: list[TraceStep] = [
         (f"lemma{i}.witness", f"F{i} maps columns ({cols}) of R{i} to ({img}) outside")
     ]

@@ -272,6 +272,12 @@ def _free_vars(f: Formula, memo: dict[int, frozenset[str]]) -> frozenset[str]:
     return result
 
 
+# A table over n variables has 4**n entries: at 8 variables a conjunction
+# takes about a second to tabulate, and each further variable costs ten times
+# as much, so truth_table refuses more.
+MAX_TABLE_VARS = 8
+
+
 # The truth table of a formula is computed in one AST walk over packed
 # tables (see tables.pack): entry k occupies bits [2k, 2k+2), so the boolean
 # connectives are single bitwise operations on the whole table and delta is
@@ -316,12 +322,17 @@ def truth_table(f: Formula, var_order: Sequence[str]) -> FuncTable:
     """Tabulate f over all valuations of var_order, first variable most
     significant.
 
-    var_order must cover every free variable of f and contain no duplicates.
+    var_order must cover every free variable of f, contain no duplicates
+    and hold at most MAX_TABLE_VARS variables.
     """
     var_order = tuple(var_order)
     if len(set(var_order)) != len(var_order):
         raise ValueError("duplicate variable in var_order")
     n = len(var_order)
+    if n > MAX_TABLE_VARS:
+        raise ValueError(
+            f"a truth table over {n} variables exceeds the cap of {MAX_TABLE_VARS}"
+        )
     env = {name: projection_packed(n, i) for i, name in enumerate(var_order)}
     try:
         return unpack(_packed_walk(f, env, n, {}), n)

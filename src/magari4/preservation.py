@@ -85,6 +85,11 @@ class ViolationWitness:
     image: Column
 
 
+def column_text(col: Column) -> str:
+    """A column in element tokens, e.g. `0r`."""
+    return "".join(e.token for e in col)
+
+
 def _image(f: FuncTable, selection: Sequence[Column], arity: int) -> Column:
     return tuple(
         f.entries[linear_index([col[i] for col in selection])] for i in range(arity)

@@ -19,7 +19,12 @@ from dataclasses import dataclass
 
 from .algebra import Connective, Element
 from .formula import Binary, Const, Formula, Var, box_formula, iff_formula, truth_table
-from .preservation import delta_pairing_relation, find_violation, preserves_delta_pairing
+from .preservation import (
+    column_text,
+    delta_pairing_relation,
+    find_violation,
+    preserves_delta_pairing,
+)
 from .tables import FuncTable, points
 
 
@@ -72,9 +77,10 @@ def synthesize(
         raise ValueError("arity-0 table: use a constant formula directly")
     if not preserves_delta_pairing(f):
         witness = find_violation(f, delta_pairing_relation())
+        cols = ";".join(map(column_text, witness.selected_columns))
         raise NotRepresentable(
-            f"table maps same-class inputs {witness.selected_columns} to "
-            f"distinct classes {witness.image}"
+            f"table maps same-class inputs ({cols}) to distinct classes "
+            f"({column_text(witness.image)})"
         )
     names = tuple(var_names) if var_names is not None else default_var_names(f.arity)
     if len(names) != f.arity:

@@ -1,10 +1,16 @@
 """Command-line front end: golden outputs, exit codes, JSON round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import magari4
 from magari4.cli import run
+from magari4.closure import COMPOSE_BUDGET
 from magari4.formula import parse, truth_table
 from magari4.selftest import CANNED_FORMULAS
 from magari4.tables import FuncTable
@@ -14,6 +20,21 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def invoke_child(*argv):
+    """The CLI in a child process that imports the package this process
+    imported, installed or not."""
+    src = str(Path(magari4.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "magari4.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +114,15 @@ def test_deeply_nested_formula_is_usage_error(capsys):
     assert code == 2
     assert "nested too deeply" in err
     assert "Traceback" not in err
+
+
+def test_table_over_too_many_variables_is_usage_error(capsys):
+    wide = " & ".join(f"p{i}" for i in range(13))
+    for argv in (("table", wide), ("equiv", wide, "p0")):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: a truth table over 13 variables exceeds the cap of 8\n"
 
 
 def test_long_conjunction_chain_is_usage_error(capsys):
@@ -219,6 +249,19 @@ def test_closure_binary_fragment(tmp_path, capsys):
     assert payload["constants"] == []
 
 
+def test_closure_past_the_budget_is_usage_error(tmp_path):
+    # the binary fragment of this system would need over 10**8 compositions
+    sigma = tmp_path / "sigma.txt"
+    sigma.write_text("p -> q\n# p\n~ p\n")
+    done = invoke_child("closure", "--arity", "2", "--sigma", str(sigma))
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == (
+        f"error: the arity-2 closure needs more than {COMPOSE_BUDGET} "
+        "table compositions\n"
+    )
+
+
 def _write_canned(tmp_path):
     lines = [f"F{i}: {CANNED_FORMULAS[i]}" for i in range(1, 13)]
     path = tmp_path / "twelve.txt"
@@ -309,7 +352,6 @@ def test_help_exits_zero(capsys):
 
 def test_console_entry_point():
     import shutil
-    import subprocess
 
     exe = shutil.which("magari4")
     if exe is None:
@@ -323,27 +365,7 @@ def test_console_entry_point():
 
 def test_derivation_output_identical_across_processes(tmp_path):
     # object identities differ between interpreter runs; the payload must not
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import magari4
-
-    # the children import the package this process imported, installed or not
-    src = str(Path(magari4.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     path = _write_canned(tmp_path)
-    outs = [
-        subprocess.run(
-            [sys.executable, "-m", "magari4.cli", "derive-constants",
-             "--sigma", str(path)],
-            capture_output=True,
-            text=True,
-            env=env,
-        ).stdout
-        for _ in range(2)
-    ]
+    outs = [invoke_child("derive-constants", "--sigma", str(path)).stdout for _ in range(2)]
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["constants"]

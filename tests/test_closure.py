@@ -5,8 +5,11 @@ import itertools
 import pytest
 
 from conftest import make_rng
+from magari4 import closure
 from magari4.algebra import ELEMENTS, Element
 from magari4.closure import (
+    COMPOSE_BUDGET,
+    ClosureBudgetExceeded,
     SystemSigma,
     closure_fragment,
     contains,
@@ -17,10 +20,18 @@ from magari4.preservation import (
     delta_pairing_relation,
     delta_preserving_tables,
     preserves,
+    preserves_delta_pairing,
     random_delta_preserving_table,
 )
 from magari4.selftest import canned_system
-from magari4.tables import FuncTable, compose, constant_table, points, projection
+from magari4.tables import (
+    FuncTable,
+    compose,
+    compose_packed,
+    constant_table,
+    points,
+    projection,
+)
 
 Z, R, S, O = ELEMENTS
 
@@ -171,3 +182,104 @@ def test_contains():
     small = SystemSigma((("and", AND),))
     assert contains(small, compose(AND, (projection(2, 1), projection(2, 0))))
     assert not contains(small, NOT)
+
+
+# ---------------------------------------------------------------------------
+# Early stop and budget
+# ---------------------------------------------------------------------------
+
+
+def plain_unary_fixpoint(members):
+    """Independent reference: the unary fragment of unary and binary members
+    as a plain fixpoint over 4-tuples of ints, run until a round adds
+    nothing; a round composes the argument tuples that touch the previous
+    round's additions.  Returns the fragment and, per round, the
+    compositions made and the size reached."""
+    members = [(t.arity, [int(e) for e in t.entries]) for t in members]
+    fragment = {(0, 1, 2, 3)}
+    added = set(fragment)
+    rounds = []
+    while added:
+        calls = 0
+        new = set()
+        for arity, g in members:
+            if arity == 1:
+                images = (tuple(g[x] for x in a) for a in added)
+            else:
+                images = (
+                    tuple(g[4 * x + y] for x, y in zip(a, b))
+                    for a in fragment
+                    for b in (fragment if a in added else added)
+                )
+            for image in images:
+                calls += 1
+                new.add(image)
+        added = new - fragment
+        fragment |= added
+        rounds.append((calls, len(fragment)))
+    return fragment, rounds
+
+
+def _random_member(rng):
+    arity = rng.choice((1, 2))
+    if rng.random() < 0.25:  # usually breaks the delta classes
+        return FuncTable(arity, tuple(rng.choice(ELEMENTS) for _ in range(4**arity)))
+    return random_delta_preserving_table(arity, rng)
+
+
+def test_early_stop_matches_plain_fixpoint():
+    rng = make_rng(30)
+    sizes = {64: 0, 256: 0, "neither": 0}
+    breaking = 0
+    for _ in range(100):
+        members = [_random_member(rng) for _ in range(rng.randint(1, 3))]
+        sigma = SystemSigma(tuple((f"g{i}", t) for i, t in enumerate(members)))
+        want, _ = plain_unary_fixpoint(members)
+        got = {tuple(int(e) for e in t.entries) for t in closure_fragment(sigma, 1).tables}
+        assert got == want, [t.to_text() for t in members]
+        sizes[len(want) if len(want) in (64, 256) else "neither"] += 1
+        breaking += not all(preserves_delta_pairing(t) for t in members)
+    # the cases cover both saturation sizes, unsaturated fragments, and
+    # systems breaking the delta classes
+    assert min(sizes.values()) >= 10, sizes
+    assert breaking >= 20
+
+
+@pytest.fixture
+def compose_calls(monkeypatch):
+    """One entry per compose_packed call the closure makes."""
+    calls = []
+
+    def counting(flat, args, size):
+        calls.append(None)
+        return compose_packed(flat, args, size)
+
+    monkeypatch.setattr(closure, "compose_packed", counting)
+    return calls
+
+
+def test_saturated_fixpoint_returns_inside_the_filling_round(compose_calls):
+    calls = compose_calls
+    members = [t for _, t in CONNECTIVE_SIGMA.members]
+    _, rounds = plain_unary_fixpoint(members)
+    assert closure_fragment(CONNECTIVE_SIGMA, 1).tables == set(delta_preserving_tables(1))
+    cumulative = list(itertools.accumulate(c for c, _ in rounds))
+    filled = next(r for r, (_, size) in enumerate(rounds) if size == 64)
+    # the plain fixpoint spends more rounds after the one that fills the 64
+    assert filled < len(rounds) - 1
+    assert cumulative[filled - 1] < len(calls) < cumulative[filled]
+
+
+# {p -> q, # p, ~ p}: its binary fragment would need over 10**8 compositions
+PROBE_SIGMA = SystemSigma((("imp", IMP), ("delta", DELTA), ("not", NOT)))
+
+
+def test_budget_refuses_the_binary_fragment_of_the_probe(compose_calls):
+    calls = compose_calls
+    with pytest.raises(ClosureBudgetExceeded, match=f"more than {COMPOSE_BUDGET} "):
+        closure_fragment(PROBE_SIGMA, 2)
+    assert len(calls) == COMPOSE_BUDGET
+    # the same system's unary fragment stays far inside the budget
+    calls.clear()
+    assert len(closure_fragment(PROBE_SIGMA, 1)) == 64
+    assert len(calls) < COMPOSE_BUDGET // 100

@@ -194,6 +194,27 @@ def test_truth_table_var_order_errors():
         truth_table(parse("p"), ("p", "p"))
 
 
+def test_truth_table_caps_the_variable_count(monkeypatch):
+    from magari4.constants import TwelveSystem
+    from magari4.selftest import CANNED_FORMULAS
+
+    def no_tables(n, i):
+        raise AssertionError("a table was built past the cap")
+
+    monkeypatch.setattr(formula, "projection_packed", no_tables)
+    names = tuple(f"p{i}" for i in range(formula.MAX_TABLE_VARS + 1))
+    wide = parse(" & ".join(names))
+    cap = r"^a truth table over 9 variables exceeds the cap of 8$"
+    with pytest.raises(ValueError, match=cap):
+        truth_table(wide, names)
+    with pytest.raises(ValueError, match=cap):
+        truth_table(parse("p0"), names)
+    with pytest.raises(ValueError, match=cap):
+        equivalent(wide, parse("p0"))
+    with pytest.raises(ValueError, match=cap):
+        TwelveSystem.from_formulas({**CANNED_FORMULAS, 1: " & ".join(names)})
+
+
 def test_truth_table_walks_once(monkeypatch):
     # free variables are collected only to name a missing one
     def no_free_vars(f):

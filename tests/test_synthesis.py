@@ -100,12 +100,16 @@ def test_synthesize_rejects_exactly_the_violating_tables():
 
 def test_not_representable_message_pinned():
     # the message names the first violating selection of the delta-pairing
-    # relation in lexicographic order
+    # relation in lexicographic order, in element tokens
     with pytest.raises(NotRepresentable) as info:
         synthesize(FuncTable.from_text("1:0s00"))
     assert str(info.value) == (
-        "table maps same-class inputs ((<Element.ZERO: 0>, <Element.RHO: 1>),) "
-        "to distinct classes (<Element.ZERO: 0>, <Element.SIGMA: 2>)"
+        "table maps same-class inputs (0r) to distinct classes (0s)"
+    )
+    with pytest.raises(NotRepresentable) as info:
+        synthesize(FuncTable.from_text("2:0s00000000000000"))
+    assert str(info.value) == (
+        "table maps same-class inputs (00;0r) to distinct classes (0s)"
     )
 
 
