@@ -1,6 +1,8 @@
 """Selector construction and table synthesis round-trips."""
 
+import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -159,3 +161,21 @@ def test_structure_is_join_of_selectors():
     assert text.count("#(") == 4  # one boxed equivalence clause per tuple
     reparsed = parse(text)
     assert truth_table(reparsed, ("p1",)) == table
+
+
+# sha256 of the printed synthesized formulas below; a change to how
+# synthesize builds its formulas must leave every printed byte as it was
+SYNTHESIS_DIGEST = "dada023e6e4bd82a9195478a5c6dfcf94a50afec83d3803f1adbf4a4302543c9"
+
+
+def test_synthesized_text_digest_pinned():
+    # a fixed Random, not make_rng, so MAGARI4_SEED cannot move the digest
+    rng = random.Random(1789)
+    digest = hashlib.sha256()
+    for arity in (1, 2, 3):
+        for _ in range(8):
+            table = random_delta_preserving_table(arity, rng)
+            for simplify in (False, True):
+                text = format_formula(synthesize(table, simplify=simplify))
+                digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == SYNTHESIS_DIGEST
