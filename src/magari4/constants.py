@@ -180,12 +180,6 @@ class TwelveSystem:
             raise ValueError(f"member index out of range: {i}")
         return self.members[i - 1]
 
-    def by_label(self, label: str) -> SystemMember:
-        for m in self.members:
-            if m.label == label:
-                return m
-        raise KeyError(label)
-
     def tables(self) -> dict[str, FuncTable]:
         return {m.label: m.table for m in self.members}
 
@@ -293,25 +287,26 @@ class Derivation:
     def expand(self) -> Formula:
         """The term as a plain formula, member applications substituted out.
 
-        Shared term nodes expand to shared formula objects, so the result
-        is compact in memory even when its printed text would not be.
+        Shared term nodes expand to shared formula objects, and substitution
+        keeps shared member nodes (a synthesized formula's clauses) shared, so
+        the result is compact in memory even when its printed text is not.
         """
-        return _expand(self.term, self.system, {})
+        return _expand(self.term, {m.label: m for m in self.system.members}, {})
 
     def is_constant(self) -> bool:
         return len(set(self.realized.entries)) == 1
 
 
-def _expand(term: Term, system: TwelveSystem, memo: dict[int, Formula]) -> Formula:
+def _expand(term: Term, members: Mapping[str, SystemMember], memo: dict) -> Formula:
     if isinstance(term, TermVar):
         return Var(term.name)
     key = id(term)
     cached = memo.get(key)
     if cached is not None:
         return cached
-    member = system.by_label(term.label)
+    member = members[term.label]
     mapping = {
-        name: _expand(arg, system, memo)
+        name: _expand(arg, members, memo)
         for name, arg in zip(member.var_order, term.args)
     }
     result = substitute_all(member.formula, mapping)

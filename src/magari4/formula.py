@@ -376,11 +376,21 @@ def substitute(a: Formula, p: str, b: Formula) -> Formula:
 
 
 def substitute_all(a: Formula, mapping: Mapping[str, Formula]) -> Formula:
-    """Simultaneously replace variables of a per mapping."""
+    """Simultaneously replace variables of a per mapping; shared nodes stay shared."""
+    return _subst(a, mapping, {})
+
+
+def _subst(a: Formula, mapping: Mapping[str, Formula], memo: dict) -> Formula:
     if isinstance(a, Var):
         return mapping.get(a.name, a)
     if isinstance(a, Const):
         return a
+    cached = memo.get(id(a))
+    if cached is not None:
+        return cached
     if isinstance(a, Unary):
-        return Unary(a.op, substitute_all(a.child, mapping))
-    return Binary(a.op, substitute_all(a.left, mapping), substitute_all(a.right, mapping))
+        result = Unary(a.op, _subst(a.child, mapping, memo))
+    else:
+        result = Binary(a.op, _subst(a.left, mapping, memo), _subst(a.right, mapping, memo))
+    memo[id(a)] = result
+    return result

@@ -49,9 +49,16 @@ def c_alpha(sel: AlphaSelector, var_names: list[str] | tuple[str, ...]) -> Formu
         )
     if not sel.alpha:
         raise ValueError("selector needs at least one argument position")
+    return _selector(sel, var_names, {})
+
+
+def _selector(sel: AlphaSelector, names, clauses: dict) -> Formula:
+    # one dict per synthesize call, so each [](name <-> value) is built once
     conj: Formula | None = None
-    for name, a in zip(var_names, sel.alpha):
-        clause = box_formula(iff_formula(Var(name), Const(a)))
+    for key in zip(names, sel.alpha):
+        if key not in clauses:
+            clauses[key] = box_formula(iff_formula(Var(key[0]), Const(key[1])))
+        clause = clauses[key]
         conj = clause if conj is None else Binary(Connective.AND, conj, clause)
     return Binary(Connective.AND, conj, Const(sel.delta))
 
@@ -98,8 +105,6 @@ def synthesize(
 
 
 def _join_all(selectors, names) -> Formula:
-    return functools.reduce(
-        lambda acc, s: Binary(Connective.OR, acc, c_alpha(s, names)),
-        selectors[1:],
-        c_alpha(selectors[0], names),
-    )
+    clauses: dict = {}
+    joined = [_selector(s, names, clauses) for s in selectors]
+    return functools.reduce(functools.partial(Binary, Connective.OR), joined)

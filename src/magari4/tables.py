@@ -102,7 +102,7 @@ def pack(t: FuncTable) -> int:
 
 def unpack(packed: int, arity: int) -> FuncTable:
     return FuncTable(
-        arity, tuple(Element((packed >> (2 * k)) & 3) for k in range(4**arity))
+        arity, tuple(ELEMENTS[(packed >> (2 * k)) & 3] for k in range(4**arity))
     )
 
 

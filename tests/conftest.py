@@ -40,6 +40,22 @@ def all_valuations(names: tuple[str, ...]):
         yield dict(zip(names, values))
 
 
+def distinct_nodes(f: Formula) -> dict[int, Formula]:
+    """Every node object of a formula, keyed by id; a shared node counts once."""
+    seen: dict[int, Formula] = {}
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen[id(node)] = node
+        if isinstance(node, Unary):
+            stack.append(node.child)
+        elif isinstance(node, Binary):
+            stack.extend((node.left, node.right))
+    return seen
+
+
 def canned_with(**overrides: str) -> dict[int, str]:
     """The canned twelve formulas with e.g. F2='~ # p' overrides."""
     formulas = dict(CANNED_FORMULAS)

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from conftest import canned_with, make_rng
+from conftest import canned_with, distinct_nodes, make_rng
 from magari4 import constants
 from magari4.algebra import ELEMENTS
 from magari4.closure import expressible_constants
@@ -177,6 +177,27 @@ def test_randomized_systems_expand_soundly():
         for v, d in result.items():
             assert d.realized == constant_table(v, 1)
             assert_sound(d)
+
+
+
+def test_expansion_copies_each_member_once_per_term_node():
+    # each distinct term node substitutes into its member's formula once,
+    # and substitution keeps the member's shared nodes shared
+    rng = make_rng(32)
+    for _ in range(5):
+        sysm = TwelveSystem.from_tables(random_twelve_tables(rng))
+        members = {m.label: len(distinct_nodes(m.formula)) for m in sysm.members}
+        for d in derive_all_constants(sysm).values():
+            term_nodes, stack = {}, [d.term]
+            while stack:
+                t = stack.pop()
+                if isinstance(t, TermApply) and id(t) not in term_nodes:
+                    term_nodes[id(t)] = t
+                    stack.extend(t.args)
+            # ints only: pytest's report of a failed assert would print
+            # the expansion as a tree
+            size = len(distinct_nodes(d.expand()))
+            assert size <= sum(members[t.label] for t in term_nodes.values())
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from conftest import all_valuations, make_rng, random_formula
+from conftest import all_valuations, distinct_nodes, make_rng, random_formula
 from magari4 import formula
 from magari4.algebra import ELEMENTS, Connective, delta
 from magari4.formula import (
@@ -295,6 +295,17 @@ def test_substitute_examples():
 def test_substitute_all_is_simultaneous():
     swapped = substitute_all(parse("p & q"), {"p": Var("q"), "q": Var("p")})
     assert swapped == parse("q & p")
+
+
+def test_substitute_all_keeps_shared_nodes_shared():
+    # f_{i+1} = f_i & # f_i: 33 node objects, about 2**17 nodes as a tree
+    tower = Var("p")
+    for _ in range(16):
+        tower = Binary(Connective.AND, tower, Unary(Connective.DELTA, tower))
+    result = substitute_all(tower, {"p": Var("q")})
+    sizes = len(distinct_nodes(tower)), len(distinct_nodes(result))
+    assert sizes == (33, 33)
+    assert truth_table(result, ("q",)) == truth_table(tower, ("p",))
 
 
 def test_evaluation_homomorphism():

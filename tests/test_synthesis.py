@@ -6,9 +6,20 @@ import random
 
 import pytest
 
-from conftest import make_rng
-from magari4.algebra import ELEMENTS, delta, join, meet
-from magari4.formula import evaluate, format_formula, parse, truth_table
+from conftest import distinct_nodes, make_rng
+from magari4.algebra import ELEMENTS, Connective, delta, join, meet
+from magari4.formula import (
+    Binary,
+    Const,
+    Unary,
+    Var,
+    box_formula,
+    evaluate,
+    format_formula,
+    iff_formula,
+    parse,
+    truth_table,
+)
 from magari4.preservation import (
     delta_preserving_tables,
     find_violation,
@@ -129,6 +140,26 @@ def test_synthesize_binary_spot_and_random():
     for _ in range(40):
         table = random_delta_preserving_table(2, rng)
         assert truth_table(synthesize(table), ("p1", "p2")) == table
+
+
+def test_synthesize_builds_each_clause_once():
+    # the unsimplified binary output needs [](p_i <-> a) for both p_i and
+    # all four a: 4n = 8 clauses, each one object shared by its selectors
+    table = random_delta_preserving_table(2, make_rng(31))
+    clauses = [
+        node
+        for node in distinct_nodes(synthesize(table)).values()
+        if isinstance(node, Binary)
+        and isinstance(node.right, Unary)
+        and node.right.op is Connective.DELTA
+        and node.right.child is node.left
+    ]
+    assert len(clauses) == 8
+    assert set(clauses) == {
+        box_formula(iff_formula(Var(name), Const(a)))
+        for name in ("p1", "p2")
+        for a in ELEMENTS
+    }
 
 
 def test_simplify_preserves_table():
