@@ -25,7 +25,7 @@ trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .algebra import ELEMENTS, HIGH, LOW, Element, delta
 from .formula import Const, Formula, Var, free_vars, parse, substitute_all, truth_table
@@ -83,29 +83,41 @@ class TermApply:
 Term = Union[TermVar, TermApply]
 
 
+def _dag_fold(term: Term, leaf: Callable, apply: Callable):
+    """Fold the term DAG bottom-up: leaf(var) values a variable and
+    apply(node, values) an application from its argument values.  Each
+    distinct node (by identity) is valued once, and the explicit stack
+    takes any depth."""
+    memo = {}
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:  # (node,) is popped after its arguments
+            (node,) = node
+            memo[id(node)] = apply(node, [memo[id(a)] for a in node.args])
+        elif id(node) not in memo:
+            if isinstance(node, TermVar):
+                memo[id(node)] = leaf(node)
+            else:
+                stack.append((node,))
+                stack += node.args
+    return memo[id(term)]
+
+
 def term_subst(term: Term, mapping: Mapping[str, Term]) -> Term:
-    return _subst(term, mapping, {})
-
-
-def _subst(term: Term, mapping: Mapping[str, Term], memo: dict[int, Term]) -> Term:
-    # keep shared input subtrees shared in the output
-    if isinstance(term, TermVar):
-        return mapping.get(term.name, term)
-    key = id(term)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    result = TermApply(
-        term.label, tuple(_subst(a, mapping, memo) for a in term.args)
+    return _dag_fold(
+        term,
+        lambda v: mapping.get(v.name, v),
+        lambda node, args: TermApply(node.label, tuple(args)),
     )
-    memo[key] = result
-    return result
 
 
 def term_text(term: Term) -> str:
-    if isinstance(term, TermVar):
-        return term.name
-    return f"{term.label}[{','.join(term_text(a) for a in term.args)}]"
+    return _dag_fold(
+        term,
+        lambda v: v.name,
+        lambda node, args: f"{node.label}[{','.join(args)}]",
+    )
 
 
 def term_table(
@@ -114,31 +126,14 @@ def term_table(
     var_order = tuple(var_order)
     n = len(var_order)
     env = {name: projection_packed(n, i) for i, name in enumerate(var_order)}
-    return unpack(_fold(term, env, tables, 4**n, {}), n)
 
+    def compose(node: TermApply, args: list[int]) -> int:
+        table = tables[node.label]
+        if len(args) != table.arity:
+            raise ValueError(f"{node.label} expects {table.arity} argument(s)")
+        return compose_packed(table.entries, args, 4**n)
 
-def _fold(
-    term: Term,
-    env: Mapping[str, int],
-    tables: Mapping[str, FuncTable],
-    size: int,
-    memo: dict[int, int],
-) -> int:
-    # substitution shares subtree objects, so memoize by identity; composed
-    # terms would otherwise re-walk shared branches
-    if isinstance(term, TermVar):
-        return env[term.name]
-    key = id(term)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    table = tables[term.label]
-    if len(term.args) != table.arity:
-        raise ValueError(f"{term.label} expects {table.arity} argument(s)")
-    args = [_fold(a, env, tables, size, memo) for a in term.args]
-    value = compose_packed(table.entries, args, size)
-    memo[key] = value
-    return value
+    return unpack(_dag_fold(term, lambda v: env[v.name], compose), n)
 
 
 # ---------------------------------------------------------------------------
@@ -291,27 +286,16 @@ class Derivation:
         keeps shared member nodes (a synthesized formula's clauses) shared, so
         the result is compact in memory even when its printed text is not.
         """
-        return _expand(self.term, {m.label: m for m in self.system.members}, {})
+        members = {m.label: m for m in self.system.members}
+
+        def substitute(node: TermApply, args: list[Formula]) -> Formula:
+            member = members[node.label]
+            return substitute_all(member.formula, dict(zip(member.var_order, args)))
+
+        return _dag_fold(self.term, lambda v: Var(v.name), substitute)
 
     def is_constant(self) -> bool:
         return len(set(self.realized.entries)) == 1
-
-
-def _expand(term: Term, members: Mapping[str, SystemMember], memo: dict) -> Formula:
-    if isinstance(term, TermVar):
-        return Var(term.name)
-    key = id(term)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    member = members[term.label]
-    mapping = {
-        name: _expand(arg, members, memo)
-        for name, arg in zip(member.var_order, term.args)
-    }
-    result = substitute_all(member.formula, mapping)
-    memo[key] = result
-    return result
 
 
 class _Runner:

@@ -23,13 +23,12 @@ every valuation over the four elements.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 from .algebra import Connective, Element, apply
-from .tables import FuncTable, points, projection_packed, unpack
+from .tables import FuncTable, packed_masks, points, projection_packed, unpack
 
 
 class ParseError(ValueError):
@@ -238,7 +237,12 @@ Valuation = Mapping[str, Element]
 
 
 def evaluate(f: Formula, valuation: Valuation) -> Element:
-    """Structural fold through the algebra's operations."""
+    """Structural fold through the algebra's operations; a shared operand
+    (as `[]` and `<->` make) is evaluated once."""
+    return _evaluate(f, valuation, {})
+
+
+def _evaluate(f: Formula, valuation: Valuation, memo: dict[int, Element]) -> Element:
     if isinstance(f, Var):
         try:
             return valuation[f.name]
@@ -246,30 +250,30 @@ def evaluate(f: Formula, valuation: Valuation) -> Element:
             raise EvaluationError(f"unbound variable {f.name!r}") from None
     if isinstance(f, Const):
         return f.value
+    cached = memo.get(id(f))
+    if cached is not None:
+        return cached
     if isinstance(f, Unary):
-        return apply(f.op, (evaluate(f.child, valuation),))
-    return apply(f.op, (evaluate(f.left, valuation), evaluate(f.right, valuation)))
+        value = apply(f.op, (_evaluate(f.child, valuation, memo),))
+    else:
+        left = _evaluate(f.left, valuation, memo)
+        value = apply(f.op, (left, _evaluate(f.right, valuation, memo)))
+    memo[id(f)] = value
+    return value
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    return _free_vars(f, {})
-
-
-def _free_vars(f: Formula, memo: dict[int, frozenset[str]]) -> frozenset[str]:
-    key = id(f)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    if isinstance(f, Var):
-        result = frozenset((f.name,))
-    elif isinstance(f, Const):
-        result = frozenset()
-    elif isinstance(f, Unary):
-        result = _free_vars(f.child, memo)
-    else:
-        result = _free_vars(f.left, memo) | _free_vars(f.right, memo)
-    memo[key] = result
-    return result
+    nodes: dict[int, Formula] = {}  # the distinct nodes of f, by identity
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            if isinstance(node, Unary):
+                stack.append(node.child)
+            elif isinstance(node, Binary):
+                stack += (node.left, node.right)
+    return frozenset(node.name for node in nodes.values() if isinstance(node, Var))
 
 
 # A table over n variables has 4**n entries: at 8 variables a conjunction
@@ -282,14 +286,6 @@ MAX_TABLE_VARS = 8
 # tables (see tables.pack): entry k occupies bits [2k, 2k+2), so the boolean
 # connectives are single bitwise operations on the whole table and delta is
 # a shift plus two masks.
-@functools.lru_cache(maxsize=None)
-def _masks(n: int) -> tuple[int, int, int]:
-    size = 4**n
-    ones = (1 << (2 * size)) - 1
-    lo = ones // 3  # 01 repeated per entry
-    return ones, lo, lo << 1
-
-
 def _packed_walk(f: Formula, env: Mapping[str, int], n: int, memo: dict[int, int]) -> int:
     # substitution shares subtree objects, so memoize per walk by identity;
     # trees produced by composing formulas would otherwise cost exponential
@@ -297,7 +293,7 @@ def _packed_walk(f: Formula, env: Mapping[str, int], n: int, memo: dict[int, int
     cached = memo.get(key)
     if cached is not None:
         return cached
-    ones, lo, hi = _masks(n)
+    ones, lo, hi = packed_masks(n)
     if isinstance(f, Var):
         value = env[f.name]
     elif isinstance(f, Const):

@@ -6,9 +6,9 @@ significant.  The text format is `<arity>:<entries>` with entries a string
 over {0, r, s, 1}, e.g. the delta operation is `1:ss11`.
 
 The packed form of a table is one int holding entry k at bits [2k, 2k+2).
-Packing, unpacking and packed projections live here, next to
-`compose_packed`, the one table-composition kernel; the formula module's
-bitwise walk works on the same form.
+Packing, unpacking, packed projections and the bitwise masks live here,
+next to `compose_packed`, the one table-composition kernel; the formula
+module's bitwise walk works on the same form.
 """
 
 from __future__ import annotations
@@ -109,6 +109,14 @@ def unpack(packed: int, arity: int) -> FuncTable:
 @functools.lru_cache(maxsize=None)
 def projection_packed(arity: int, index: int) -> int:
     return pack(projection(arity, index))
+
+
+@functools.lru_cache(maxsize=None)
+def packed_masks(arity: int) -> tuple[int, int, int]:
+    """(every bit, every entry's low bit, every entry's high bit) at this arity."""
+    ones = (1 << (2 * 4**arity)) - 1
+    lo = ones // 3  # 01 repeated per entry
+    return ones, lo, lo << 1
 
 
 def compose_packed(flat: Sequence[int], args: Sequence[int], size: int) -> int:

@@ -31,8 +31,9 @@ from magari4.constants import (
     lemma5,
     term_subst,
     term_table,
+    term_text,
 )
-from magari4.formula import format_formula, parse, truth_table
+from magari4.formula import format_formula, free_vars, parse, truth_table
 from magari4.preservation import ViolationWitness
 from magari4.selftest import CANNED_FORMULAS, canned_system, random_twelve_tables
 from magari4.synthesis import synthesize
@@ -549,6 +550,24 @@ def test_term_table_rejects_wrong_argument_count():
     term = TermApply("F1", (TermVar("p"),) * (tables["F1"].arity + 1))
     with pytest.raises(ValueError):
         term_table(term, ("p",), tables)
+
+
+def test_term_functions_take_any_depth():
+    # far deeper than Python's recursion limit; the canned F2 is `~ p`, so
+    # an even number of applications is the identity
+    system = canned_system()
+    term = TermVar("p")
+    for _ in range(5000):
+        term = TermApply("F2", (term,))
+    realized = term_table(term, ("p",), system.tables())
+    assert realized.to_text() == "1:0rs1"
+    text = term_text(term)
+    assert len(text) == 20_001
+    renamed = term_subst(term, {"p": TermVar("q")})
+    assert isinstance(renamed, TermApply)
+    assert term_text(renamed) == text.replace("p", "q")
+    expanded = Derivation(term, ("p",), realized, (), system).expand()
+    assert free_vars(expanded) == {"p"}
 
 
 def test_real_formula_membership_of_overridden_entries():

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import all_valuations, distinct_nodes, make_rng, random_formula
 from magari4 import formula
-from magari4.algebra import ELEMENTS, Connective, delta
+from magari4.algebra import ELEMENTS, Connective, apply, delta
 from magari4.formula import (
     Binary,
     Const,
@@ -20,6 +20,7 @@ from magari4.formula import (
     equivalent,
     evaluate,
     format_formula,
+    free_vars,
     parse,
     substitute,
     substitute_all,
@@ -306,6 +307,34 @@ def test_substitute_all_keeps_shared_nodes_shared():
     sizes = len(distinct_nodes(tower)), len(distinct_nodes(result))
     assert sizes == (33, 33)
     assert truth_table(result, ("q",)) == truth_table(tower, ("p",))
+
+
+def test_free_vars_takes_any_depth():
+    assert free_vars(parse(" & ".join(["p"] * 100_000))) == {"p"}
+
+
+@pytest.mark.parametrize(
+    "text", [" <-> ".join(["p"] * 16), "[]" * 16 + "p"], ids=["iff-chain", "box-tower"]
+)
+def test_evaluate_visits_each_shared_operand_once(monkeypatch, text):
+    # `<->` and `[]` share their operands, so as trees these formulas have
+    # about 10**5 internal nodes, but as DAGs under 50
+    f = parse(text)
+    internal = sum(
+        isinstance(node, (Unary, Binary)) for node in distinct_nodes(f).values()
+    )
+    table = truth_table(f, ("p",))
+    calls = []
+
+    def counting_apply(op, args):
+        calls.append(op)
+        return apply(op, args)
+
+    monkeypatch.setattr(formula, "apply", counting_apply)
+    for x in ELEMENTS:
+        calls.clear()
+        assert evaluate(f, {"p": x}) is table[(x,)]
+        assert len(calls) <= internal
 
 
 def test_evaluation_homomorphism():
