@@ -10,31 +10,31 @@ system can express with variables available (and no constants assumed).
 The fixpoint stops as soon as the fragment holds every k-ary table it could
 ever hold: all 4**(4**k) tables, or only the delta-preserving ones when
 every member preserves the delta pairing (compositions and projections
-preserve it too).  A fixpoint that needs more than COMPOSE_BUDGET
-compositions is refused with ClosureBudgetExceeded.
+preserve it too).  Compositions run in batches, one per member and choice
+of new or older tables at each argument; a batch that would take the
+fixpoint past COMPOSE_BUDGET compositions is refused, before it runs, with
+ClosureBudgetExceeded.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .algebra import ELEMENTS, Element
 from .preservation import count_delta_preserving, preserves_delta_pairing
-from .tables import (
-    FuncTable,
-    compose_packed,
-    constant_table,
-    projection,
-    projection_packed,
-    unpack,
-)
+from .tables import FuncTable, compose_lanes, constant_table, projection, unpack
 
 
 # Table compositions one closure_fragment call may make.  A delta-preserving
 # system of up to twelve binary members needs at most 12 * 64**2 of them at
 # k=1; the binary fragment of {p -> q, # p, ~ p} would need over 10**8.
 COMPOSE_BUDGET = 2**18
+
+
+# Bytes per argument lane of one composition, bounding a batch's memory.
+_LANE_BYTES = 2**20
 
 
 class ClosureBudgetExceeded(ValueError):
@@ -72,42 +72,63 @@ def closure_fragment(sigma: SystemSigma, k: int) -> ClosureFragment:
     if not 1 <= k <= 3:
         raise ValueError(f"fragment arity must lie in 1..3, got {k}")
     size = 4**k
-    flats = [(t.arity, [int(e) for e in t.entries]) for _, t in sigma.members]
+    flats = [(t.arity, bytes(t.entries)) for _, t in sigma.members]
     if all(preserves_delta_pairing(t) for _, t in sigma.members):
         full = count_delta_preserving(k)  # compositions stay in this set
     else:
         full = 4**size
-    current: set[int] = {projection_packed(k, i) for i in range(k)}
+    current = {bytes(projection(k, i).entries) for i in range(k)}
     frontier = sorted(current)
-    calls = 0
+    made = 0
     while frontier:
         old = sorted(current.difference(frontier))
-        new: set[int] = set()
+        new: set[bytes] = set()
         for arity, flat in flats:
             # every argument tuple touching the frontier, enumerated once
             for pattern in itertools.product((False, True), repeat=arity):
                 if not any(pattern):
                     continue
                 pools = [frontier if is_new else old for is_new in pattern]
-                for combo in itertools.product(*pools):
-                    calls += 1
-                    if calls > COMPOSE_BUDGET:
-                        raise ClosureBudgetExceeded(
-                            f"the arity-{k} closure needs more than "
-                            f"{COMPOSE_BUDGET} table compositions"
-                        )
-                    h = compose_packed(flat, combo, size)
-                    if h not in current:
-                        new.add(h)
-                        if len(current) + len(new) == full:
-                            return _fragment(k, current | new)
+                batch = math.prod(map(len, pools))
+                if not batch:
+                    continue
+                if made + batch > COMPOSE_BUDGET:
+                    raise ClosureBudgetExceeded(
+                        f"the arity-{k} closure needs more than "
+                        f"{COMPOSE_BUDGET} table compositions"
+                    )
+                made += batch
+                new |= _compose_batch(flat, pools, size).difference(current)
+                if len(current) + len(new) == full:
+                    return _fragment(k, current | new)
         current |= new
         frontier = sorted(new)
     return _fragment(k, current)
 
 
-def _fragment(k: int, packed: set[int]) -> ClosureFragment:
-    return ClosureFragment(k, frozenset(unpack(p, k) for p in packed))
+def _compose_batch(flat: bytes, pools: list[list[bytes]], size: int) -> set[bytes]:
+    """The tables g(t1, ..., tm) for every t_i in pools[i], composed at once:
+    lane i repeats the pools' tables so that its c-th table is the i-th
+    argument of the product's c-th tuple.  Leading pools are looped over
+    while the lanes would pass _LANE_BYTES."""
+    lead = 0
+    while lead < len(pools) and math.prod(map(len, pools[lead:])) * size > _LANE_BYTES:
+        lead += 1
+    count, lanes, outer = math.prod(map(len, pools[lead:])), [], 1
+    for pool in pools[lead:]:
+        inner = count // (outer * len(pool))
+        lanes.append(int.from_bytes(b"".join(t * inner for t in pool) * outer, "little"))
+        outer *= len(pool)
+    out: set[bytes] = set()
+    for fixed in itertools.product(*pools[:lead]):
+        args = [int.from_bytes(t * count, "little") for t in fixed] + lanes
+        images = compose_lanes(flat, args, count * size)
+        out.update(images[i : i + size] for i in range(0, len(images), size))
+    return out
+
+
+def _fragment(k: int, packed: set[bytes]) -> ClosureFragment:
+    return ClosureFragment(k, frozenset(unpack(t, k) for t in packed))
 
 
 def expressible_constants(sigma: SystemSigma) -> frozenset[Element]:

@@ -31,7 +31,6 @@ from .algebra import ELEMENTS, HIGH, LOW, Element, delta
 from .formula import Const, Formula, Var, free_vars, parse, substitute_all, truth_table
 from .preservation import (
     ViolationWitness,
-    _image,
     builtin_relation,
     column_text,
     find_violation,
@@ -40,7 +39,7 @@ from .preservation import (
 from .synthesis import default_var_names, synthesize
 from .tables import (
     FuncTable,
-    compose_packed,
+    compose_lanes,
     constant_table,
     projection_packed,
     unpack,
@@ -131,7 +130,7 @@ def term_table(
         table = tables[node.label]
         if len(args) != table.arity:
             raise ValueError(f"{node.label} expects {table.arity} argument(s)")
-        return compose_packed(table.entries, args, 4**n)
+        return int.from_bytes(compose_lanes(bytes(table.entries), args, 4**n), "little")
 
     return unpack(_dag_fold(term, lambda v: env[v.name], compose), n)
 
@@ -256,7 +255,8 @@ def _verify_witness(m: SystemMember, i: int) -> None:
         )
     if any(col not in colset for col in w.selected_columns):
         raise PreconditionViolated(f"F{i} witness uses non-columns of R{i}", index=i)
-    image = _image(m.table, w.selected_columns, relation.arity)
+    selection = w.selected_columns
+    image = tuple(m.table.apply([c[i] for c in selection]) for i in range(relation.arity))
     if image != w.image or image in colset:
         raise PreconditionViolated(f"F{i} does not violate R{i} as claimed", index=i)
 

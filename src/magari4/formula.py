@@ -63,17 +63,38 @@ class Const:
     value: Element
 
 
-@dataclass(frozen=True)
+def _dag_repr(f: Formula) -> str:
+    """Each distinct compound node of f once, as `%k = <op> <operands>`
+    over leaves and names, f first: `p & #p` reads `Binary(%0 = p & %1,
+    %1 = #p)`.  The text is linear in the distinct nodes, not the tree."""
+    names, order, out = {id(f): "%0"}, [f], []
+    for node in order:  # order grows as nodes are named, breadth first
+        ops = []
+        for sub in (node.child,) if isinstance(node, Unary) else (node.left, node.right):
+            if isinstance(sub, (Unary, Binary)) and id(sub) not in names:
+                names[id(sub)] = f"%{len(order)}"
+                order.append(sub)
+            ops.append(names.get(id(sub)) or format_formula(sub))
+        text = node.op.value + ops[0] if len(ops) == 1 else f" {node.op.value} ".join(ops)
+        out.append(f"{names[id(node)]} = {text}")
+    return f"{type(f).__name__}({', '.join(out)})"
+
+
+@dataclass(frozen=True, repr=False)
 class Unary:
     op: Connective
     child: "Formula"
 
+    __repr__ = _dag_repr
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, repr=False)
 class Binary:
     op: Connective
     left: "Formula"
     right: "Formula"
+
+    __repr__ = _dag_repr
 
 
 Formula = Union[Var, Const, Unary, Binary]
@@ -283,9 +304,9 @@ MAX_TABLE_VARS = 8
 
 
 # The truth table of a formula is computed in one AST walk over packed
-# tables (see tables.pack): entry k occupies bits [2k, 2k+2), so the boolean
-# connectives are single bitwise operations on the whole table and delta is
-# a shift plus two masks.
+# tables (see tables.pack): entry k occupies the low two bits of byte k, so
+# the boolean connectives are single bitwise operations on the whole table
+# and delta is a shift plus two masks.
 def _packed_walk(f: Formula, env: Mapping[str, int], n: int, memo: dict[int, int]) -> int:
     # substitution shares subtree objects, so memoize per walk by identity;
     # trees produced by composing formulas would otherwise cost exponential

@@ -90,28 +90,83 @@ def column_text(col: Column) -> str:
     return "".join(e.token for e in col)
 
 
-def _image(f: FuncTable, selection: Sequence[Column], arity: int) -> Column:
-    return tuple(
-        f.entries[linear_index([col[i] for col in selection])] for i in range(arity)
-    )
-
-
 def preserves(f: FuncTable, relation: RelationMatrix) -> bool:
     """True iff every row-wise image of columns under f is a column.
 
     For a unary relation this is closure of the column set under f.
     """
-    return find_violation(f, relation) is None
+    return next(_escapes(f, relation), None) is None
 
 
 def find_violation(f: FuncTable, relation: RelationMatrix) -> ViolationWitness | None:
     """First violating column selection in lexicographic order, if any."""
-    colset = set(relation.columns)
-    for sel in itertools.product(relation.columns, repeat=f.arity):
-        image = _image(f, sel, relation.arity)
-        if image not in colset:
-            return ViolationWitness(sel, image)
+    for lead, luts, lanes, s in _escapes(f, relation):
+        tails = itertools.product(relation.columns, repeat=f.arity - len(lead))
+        image = tuple(ELEMENTS[lut[lane[s]]] for lut, lane in zip(luts, lanes))
+        return ViolationWitness(lead + next(itertools.islice(tails, s, None)), image)
     return None
+
+
+def _escapes(f: FuncTable, relation: RelationMatrix):
+    """The violations of the relation by f, in lexicographic order, at most
+    one per selection of columns at f's leading arguments.
+
+    The selections at f's last (at most four) arguments are scanned at once
+    as byte lanes; a wider table loops over the selections at its leading
+    arguments, each picking one block of f's entries per row.  Yields
+    (leading selection, blocks, lanes, first escaping lane).
+    """
+    cols = relation.columns
+    tail = min(f.arity, 4)
+    while len(cols) ** tail > _MAX_LANES:
+        tail -= 1
+    lanes, masks = _scan_tables(relation, tail)
+    entries, block = bytes(f.entries), 4**tail
+    escapes: dict[tuple[bytes, ...], int] = {}  # per tuple of blocks
+    for lead in itertools.product(cols, repeat=f.arity - tail):
+        # an empty lead reads all of f in every row
+        starts = [block * linear_index(row) for row in zip(*lead)] or [0] * relation.arity
+        luts = tuple(entries[b : b + block] for b in starts)
+        if luts not in escapes:
+            held = 0  # lanes where some column agrees with the image on every row
+            for group in masks:
+                agree = -1
+                for lut, lane, mask in zip(luts, lanes, group):
+                    marks = lane.translate(lut.translate(mask).ljust(256, b"\0"))
+                    agree &= int.from_bytes(marks, "little")
+                held |= agree
+            escapes[luts] = held.to_bytes(len(lanes[0]), "little").find(0)
+        if escapes[luts] >= 0:
+            yield lead, luts, lanes, escapes[luts]
+
+
+# Lanes per row at most; past it, selections move to the Python loop.
+_MAX_LANES = 2**16
+
+
+@lru_cache(maxsize=256)
+def _scan_tables(relation: RelationMatrix, arity: int):
+    """Per row i, the lane whose byte s is the linear index of row i of the
+    s-th selection of arity columns; per group of eight columns and row i,
+    the table taking a value to the bits of the group's columns holding it
+    in row i."""
+    cols, rows, n = relation.columns, range(relation.arity), len(relation.columns)
+    lanes = []
+    for i in rows:
+        index = 0
+        for j in range(arity):  # row i of the j-th column of each selection
+            digit = b"".join(bytes([c[i]]) * n ** (arity - 1 - j) for c in cols) * n**j
+            index = index << 2 | int.from_bytes(digit, "little")
+        lanes.append(index.to_bytes(n**arity, "little"))
+    masks = tuple(
+        tuple(
+            bytes(sum(1 << b for b, c in enumerate(group) if c[i] == v) for v in range(4))
+            .ljust(256, b"\0")
+            for i in rows
+        )
+        for group in (cols[g : g + 8] for g in range(0, n, 8))
+    )
+    return tuple(lanes), masks
 
 
 # ---------------------------------------------------------------------------

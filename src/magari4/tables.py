@@ -5,10 +5,12 @@ tuples run through (0, r, s, 1) per position with the first argument most
 significant.  The text format is `<arity>:<entries>` with entries a string
 over {0, r, s, 1}, e.g. the delta operation is `1:ss11`.
 
-The packed form of a table is one int holding entry k at bits [2k, 2k+2).
-Packing, unpacking, packed projections and the bitwise masks live here,
-next to `compose_packed`, the one table-composition kernel; the formula
-module's bitwise walk works on the same form.
+The packed form of a table gives each entry one byte, entry k in byte k:
+as an int (little-endian) for bitwise work, as bytes for `bytes.translate`.
+A "lane" is one byte position; several tables laid end to end are
+evaluated lane by lane at once.  Packing, unpacking, packed projections,
+the bitwise masks and `compose_lanes`, the one composition kernel, live
+here; the formula module's bitwise walk works on the same form.
 """
 
 from __future__ import annotations
@@ -94,16 +96,13 @@ def projection(arity: int, index: int) -> FuncTable:
 
 
 def pack(t: FuncTable) -> int:
-    packed = 0
-    for k, e in enumerate(t.entries):
-        packed |= int(e) << (2 * k)
-    return packed
+    return int.from_bytes(bytes(t.entries), "little")
 
 
-def unpack(packed: int, arity: int) -> FuncTable:
-    return FuncTable(
-        arity, tuple(ELEMENTS[(packed >> (2 * k)) & 3] for k in range(4**arity))
-    )
+def unpack(packed: int | bytes, arity: int) -> FuncTable:
+    if isinstance(packed, int):
+        packed = packed.to_bytes(4**arity, "little")
+    return FuncTable(arity, tuple(map(ELEMENTS.__getitem__, packed)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -113,23 +112,30 @@ def projection_packed(arity: int, index: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def packed_masks(arity: int) -> tuple[int, int, int]:
-    """(every bit, every entry's low bit, every entry's high bit) at this arity."""
-    ones = (1 << (2 * 4**arity)) - 1
-    lo = ones // 3  # 01 repeated per entry
-    return ones, lo, lo << 1
+    """(both bits, low bit, high bit) of every entry at this arity."""
+    lo = int.from_bytes(b"\x01" * 4**arity, "little")
+    return 3 * lo, lo, lo << 1
 
 
-def compose_packed(flat: Sequence[int], args: Sequence[int], size: int) -> int:
-    """Packed g(t1, ..., tn): flat lists g's entries, args are the packed
-    t_i, each with size entries."""
-    out = 0
-    for j in range(size):
-        shift = 2 * j
-        idx = 0
+def compose_lanes(flat: bytes, args: Sequence[int], width: int) -> bytes:
+    """g(t1, ..., tm) on each of width lanes, flat holding g's 4**m entries.
+
+    Up to four arguments, each lane's argument tuple has its linear index
+    in one byte, and g is one translate.  A wider g is split on its first
+    argument into four slices; each lane keeps the one that argument picks.
+    """
+    if len(args) <= 4:
+        index = 0
         for t in args:
-            idx = idx * 4 + ((t >> shift) & 3)
-        out |= flat[idx] << shift
-    return out
+            index = index << 2 | t
+        return index.to_bytes(width, "little").translate(flat.ljust(256, b"\0"))
+    quarter = len(flat) // 4
+    out = 0
+    for v in range(4):
+        part = compose_lanes(flat[v * quarter : (v + 1) * quarter], args[1:], width)
+        pick = compose_lanes(bytes(3 * (x == v) for x in range(4)), args[:1], width)
+        out |= int.from_bytes(part, "little") & int.from_bytes(pick, "little")
+    return out.to_bytes(width, "little")
 
 
 def compose(g: FuncTable, args: Sequence[FuncTable]) -> FuncTable:
@@ -144,4 +150,4 @@ def compose(g: FuncTable, args: Sequence[FuncTable]) -> FuncTable:
     k = args[0].arity
     if any(t.arity != k for t in args):
         raise ValueError("composition arguments must share one arity")
-    return unpack(compose_packed(g.entries, [pack(t) for t in args], 4**k), k)
+    return unpack(compose_lanes(bytes(g.entries), [pack(t) for t in args], 4**k), k)

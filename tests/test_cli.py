@@ -22,7 +22,7 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def invoke_child(*argv):
+def invoke_child(*argv, timeout=60):
     """The CLI in a child process that imports the package this process
     imported, installed or not."""
     src = str(Path(magari4.__file__).resolve().parents[1])
@@ -33,7 +33,7 @@ def invoke_child(*argv):
         capture_output=True,
         text=True,
         env=env,
-        timeout=60,
+        timeout=timeout,
     )
 
 
@@ -148,6 +148,17 @@ def test_classify_formula_and_json(capsys):
     code, out, _ = invoke(capsys, "classify", "p", "--json")
     assert code == 0
     assert json.loads(out) == {"classes": list(range(1, 13))}
+
+
+def test_classify_an_eight_variable_table_that_preserves_everything():
+    # R12 alone has 8**8 column selections at arity 8, none violating
+    text = "p1 & " + " & ".join(f"(p{i} | 1)" for i in range(2, 9))
+    done = invoke_child("classify", text, timeout=5)
+    assert done.returncode == 0
+    assert done.stdout == " ".join(f"P{i}" for i in range(1, 13)) + "\n"
+    done = invoke_child("violations", text, "--relations", "R12", timeout=5)
+    assert done.returncode == 1
+    assert done.stdout == "R12: preserved\n"
 
 
 def test_violations_single_relation(capsys):

@@ -1,6 +1,7 @@
 """Composition-closure oracle, cross-validated by naive term enumeration."""
 
 import itertools
+import math
 
 import pytest
 
@@ -27,7 +28,6 @@ from magari4.selftest import canned_system
 from magari4.tables import (
     FuncTable,
     compose,
-    compose_packed,
     constant_table,
     points,
     projection,
@@ -245,21 +245,33 @@ def test_early_stop_matches_plain_fixpoint():
     assert breaking >= 20
 
 
+def test_batches_past_the_lane_cap_give_the_same_fragments(monkeypatch):
+    rng = make_rng(32)
+    systems = [(SystemSigma((("and", AND), ("delta", DELTA))), 2), (CONNECTIVE_SIGMA, 1)]
+    for _ in range(10):
+        members = [_random_member(rng) for _ in range(rng.randint(1, 3))]
+        systems.append((SystemSigma(tuple((f"g{i}", t) for i, t in enumerate(members))), 1))
+    want = [closure_fragment(sigma, k) for sigma, k in systems]
+    # lanes of 8 bytes at most: most batches loop over their leading pools
+    monkeypatch.setattr(closure, "_LANE_BYTES", 8)
+    assert [closure_fragment(sigma, k) for sigma, k in systems] == want
+
+
 @pytest.fixture
-def compose_calls(monkeypatch):
-    """One entry per compose_packed call the closure makes."""
-    calls = []
+def batches(monkeypatch):
+    """The size of each composition batch the closure runs, in order."""
+    sizes = []
+    run_batch = closure._compose_batch
 
-    def counting(flat, args, size):
-        calls.append(None)
-        return compose_packed(flat, args, size)
+    def counting(flat, pools, size):
+        sizes.append(math.prod(map(len, pools)))
+        return run_batch(flat, pools, size)
 
-    monkeypatch.setattr(closure, "compose_packed", counting)
-    return calls
+    monkeypatch.setattr(closure, "_compose_batch", counting)
+    return sizes
 
 
-def test_saturated_fixpoint_returns_inside_the_filling_round(compose_calls):
-    calls = compose_calls
+def test_saturated_fixpoint_returns_inside_the_filling_round(batches):
     members = [t for _, t in CONNECTIVE_SIGMA.members]
     _, rounds = plain_unary_fixpoint(members)
     assert closure_fragment(CONNECTIVE_SIGMA, 1).tables == set(delta_preserving_tables(1))
@@ -267,19 +279,37 @@ def test_saturated_fixpoint_returns_inside_the_filling_round(compose_calls):
     filled = next(r for r, (_, size) in enumerate(rounds) if size == 64)
     # the plain fixpoint spends more rounds after the one that fills the 64
     assert filled < len(rounds) - 1
-    assert cumulative[filled - 1] < len(calls) < cumulative[filled]
+    assert cumulative[filled - 1] < sum(batches) < cumulative[filled]
 
 
 # {p -> q, # p, ~ p}: its binary fragment would need over 10**8 compositions
 PROBE_SIGMA = SystemSigma((("imp", IMP), ("delta", DELTA), ("not", NOT)))
 
 
-def test_budget_refuses_the_binary_fragment_of_the_probe(compose_calls):
-    calls = compose_calls
+class RefusedBatch(Exception):
+    """Carries the size of the batch the budget refused."""
+
+
+def test_budget_refuses_the_binary_fragment_of_the_probe(batches, monkeypatch):
     with pytest.raises(ClosureBudgetExceeded, match=f"more than {COMPOSE_BUDGET} "):
         closure_fragment(PROBE_SIGMA, 2)
-    assert len(calls) == COMPOSE_BUDGET
+    ran = list(batches)
     # the same system's unary fragment stays far inside the budget
-    calls.clear()
+    batches.clear()
     assert len(closure_fragment(PROBE_SIGMA, 1)) == 64
-    assert len(calls) < COMPOSE_BUDGET // 100
+    assert sum(batches) < COMPOSE_BUDGET // 100
+    # lift the budget and stop at the batch it refused, to read its size
+    counting = closure._compose_batch
+
+    def stop_at_the_refused_batch(flat, pools, size):
+        if len(batches) == len(ran):
+            raise RefusedBatch(math.prod(map(len, pools)))
+        return counting(flat, pools, size)
+
+    monkeypatch.setattr(closure, "COMPOSE_BUDGET", 2**62)
+    monkeypatch.setattr(closure, "_compose_batch", stop_at_the_refused_batch)
+    batches.clear()
+    with pytest.raises(RefusedBatch) as refused:
+        closure_fragment(PROBE_SIGMA, 2)
+    assert batches == ran
+    assert sum(ran) <= COMPOSE_BUDGET < sum(ran) + refused.value.args[0]

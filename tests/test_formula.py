@@ -309,6 +309,20 @@ def test_substitute_all_keeps_shared_nodes_shared():
     assert truth_table(result, ("q",)) == truth_table(tower, ("p",))
 
 
+def test_repr_writes_each_distinct_node_once():
+    assert repr(parse("[](p -> q) | ~rho")) == (
+        "Binary(%0 = %1 | %2, %1 = %3 & %4, %2 = ~rho, %3 = p -> q, %4 = #%3)"
+    )
+    # f_{i+1} = f_i & # f_i: 121 node objects, about 2**61 nodes as a tree
+    tower = Var("p")
+    for _ in range(60):
+        tower = Binary(Connective.AND, tower, Unary(Connective.DELTA, tower))
+    text = repr(tower)
+    assert text.count(" = ") == 120
+    assert text.startswith("Binary(%0 = %1 & %2, %1 = %3 & %4, %2 = #%1, ")
+    assert text.endswith(", %117 = p & %119, %118 = #%117, %119 = #p)")
+
+
 def test_free_vars_takes_any_depth():
     assert free_vars(parse(" & ".join(["p"] * 100_000))) == {"p"}
 

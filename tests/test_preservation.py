@@ -2,13 +2,19 @@
 
 import itertools
 
+from unittest import mock
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_rng
 from magari4.algebra import ELEMENTS, delta
+from magari4 import preservation
 from magari4.formula import parse, truth_table
 from magari4.preservation import (
     RelationMatrix,
+    ViolationWitness,
     builtin_relation,
     classify,
     count_delta_preserving,
@@ -21,7 +27,7 @@ from magari4.preservation import (
     preserves_delta_pairing,
     random_delta_preserving_table,
 )
-from magari4.tables import FuncTable, points, projection
+from magari4.tables import FuncTable, linear_index, points, projection
 
 Z, R, S, O = ELEMENTS
 
@@ -142,6 +148,59 @@ def test_binary_violation_shape_for_distinct_class_relation():
     assert delta(g1) is not delta(d1) and delta(g2) is not delta(d2)
     out_g, out_d = witness.image
     assert delta(out_g) is delta(out_d)
+
+
+def product_search(f, relation):
+    """Reference: every selection in lexicographic order, image by image."""
+    colset = set(relation.columns)
+    for sel in itertools.product(relation.columns, repeat=f.arity):
+        image = tuple(
+            f.entries[linear_index([col[i] for col in sel])] for i in range(relation.arity)
+        )
+        if image not in colset:
+            return ViolationWitness(sel, image)
+    return None
+
+
+@st.composite
+def violation_cases(draw):
+    # few values per table and per relation, so that some tables preserve
+    values = draw(st.lists(st.sampled_from(ELEMENTS), min_size=1, max_size=4, unique=True))
+    rows = draw(st.integers(1, 5))
+    cell = st.sampled_from(values) if draw(st.booleans()) else st.sampled_from(ELEMENTS)
+    columns = draw(st.lists(st.tuples(*[cell] * rows), min_size=1, max_size=6, unique=True))
+    arity = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        # a projection changed where some selection reads: a late witness
+        entries = list(projection(arity, draw(st.integers(0, arity - 1))).entries)
+        for _ in range(draw(st.integers(1, 3))):
+            row = draw(st.integers(0, rows - 1))
+            reads = [draw(st.sampled_from(columns))[row] for _ in range(arity)]
+            entries[linear_index(reads)] = draw(st.sampled_from(ELEMENTS))
+    else:
+        raw = draw(st.binary(min_size=4**arity, max_size=4**arity))
+        entries = [values[b % len(values)] for b in raw]
+    f = FuncTable(arity, tuple(entries))
+    return f, RelationMatrix(rows, tuple(columns)), draw(st.sampled_from((1, 8, 2**16)))
+
+
+def _reads_once_in_row_two():
+    # f(1, s, s, s, s) changed from s to 0: R12's first selection reading it
+    # is ((0,1), (0,s), (0,s), (0,s), (0,s)), in row two, after the lead
+    # (0,s) whose row-one block is the same
+    entries = list(projection(5, 1).entries)
+    entries[linear_index((O, S, S, S, S))] = Z
+    return FuncTable(5, tuple(entries)), builtin_relation(12), 2**16
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(violation_cases())
+@example(_reads_once_in_row_two())
+def test_find_violation_matches_the_product_search(case):
+    # a lane cap under c**4 moves selections from the lanes to the loop
+    f, relation, max_lanes = case
+    with mock.patch.object(preservation, "_MAX_LANES", max_lanes):
+        assert find_violation(f, relation) == product_search(f, relation)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_rng
 from magari4.algebra import ELEMENTS, Element
 from magari4.tables import (
     FuncTable,
@@ -84,20 +85,29 @@ def test_compose_against_pointwise_oracle():
         assert composed[(x,)] is g[(t1[(x,)], t2[(x,)])]
 
 
-def random_table(rng, arity: int) -> FuncTable:
-    return FuncTable(arity, tuple(rng.choice(ELEMENTS) for _ in range(4**arity)))
+def tables(arity: int):
+    return st.binary(min_size=4**arity, max_size=4**arity).map(
+        lambda raw: FuncTable(arity, tuple(ELEMENTS[b & 3] for b in raw))
+    )
 
 
-def test_compose_matches_apply_on_random_tables():
-    rng = make_rng(31)
-    for _ in range(200):
-        g = random_table(rng, rng.randint(1, 3))
-        k = rng.randint(1, 3)
-        args = [random_table(rng, k) for _ in range(g.arity)]
-        composed = compose(g, args)
-        assert composed.arity == k
-        for pt in points(k):
-            assert composed[pt] is g[tuple(t[pt] for t in args)]
+@st.composite
+def compositions(draw):
+    g = draw(tables(draw(st.integers(1, 6))))
+    k = draw(st.integers(0, 3))
+    return g, [draw(tables(k)) for _ in range(g.arity)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(compositions())
+def test_compose_matches_apply_on_random_tables(case):
+    # members above arity 4 are split on their first argument
+    g, args = case
+    composed = compose(g, args)
+    k = args[0].arity
+    assert composed.arity == k
+    for pt in points(k):
+        assert composed[pt] is g[tuple(t[pt] for t in args)]
 
 
 def test_compose_projection_identity():
