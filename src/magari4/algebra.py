@@ -68,7 +68,7 @@ class Connective(enum.Enum):
 
     @property
     def arity(self) -> int:
-        return 1 if self in (Connective.NOT, Connective.DELTA) else 2
+        return _OPS[self][0]
 
 
 class DeltaClass(enum.Enum):
@@ -95,6 +95,14 @@ _IMP = _mk2(lambda x, y: (x ^ 3) | y)
 _DELTA = _mk1(lambda x: 0b10 | (x >> 1))
 _BOX = _mk1(lambda x: x & (0b10 | (x >> 1)))
 _EQUIV = _mk2(lambda x, y: (((x ^ 3) | y) & ((y ^ 3) | x)))
+# each connective's (arity, table), looked up once per apply
+_OPS = {
+    Connective.AND: (2, _AND),
+    Connective.OR: (2, _OR),
+    Connective.IMP: (2, _IMP),
+    Connective.NOT: (1, _NOT),
+    Connective.DELTA: (1, _DELTA),
+}
 
 
 def meet(x: Element, y: Element) -> Element:
@@ -123,19 +131,10 @@ def apply(conn: Connective, args: Iterable[Element]) -> Element:
     Raises ValueError on an argument-count mismatch.
     """
     args = tuple(args)
-    if len(args) != conn.arity:
-        raise ValueError(
-            f"{conn.value} expects {conn.arity} argument(s), got {len(args)}"
-        )
-    if conn is Connective.AND:
-        return _AND[args[0]][args[1]]
-    if conn is Connective.OR:
-        return _OR[args[0]][args[1]]
-    if conn is Connective.IMP:
-        return _IMP[args[0]][args[1]]
-    if conn is Connective.NOT:
-        return _NOT[args[0]]
-    return _DELTA[args[0]]
+    arity, table = _OPS[conn]
+    if len(args) != arity:
+        raise ValueError(f"{conn.value} expects {arity} argument(s), got {len(args)}")
+    return table[args[0]][args[1]] if arity == 2 else table[args[0]]
 
 
 def box(x: Element) -> Element:

@@ -3,8 +3,8 @@
 Every subcommand is a thin adapter over the library: parse flags, call the
 corresponding function, format the result.  Exit codes: 0 success, 1
 negative answer (not equivalent, nothing violated, precondition not met),
-2 usage error (including input nested too deeply to parse or tabulate),
-3 internal check failure.
+2 usage error (including input nested too deeply to parse), 3 internal
+check failure.
 """
 
 from __future__ import annotations
@@ -359,9 +359,6 @@ def run(argv: list[str]) -> int:
         return args.fn(args)
     except (ParseError, EvaluationError, _UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except RecursionError:
-        print("error: formula nested too deeply", file=sys.stderr)
         return USAGE_ERROR
     except NotRepresentable as exc:
         print(f"not representable: {exc}", file=sys.stderr)

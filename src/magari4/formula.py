@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .algebra import Connective, Element, apply
 from .tables import FuncTable, packed_masks, points, projection_packed, unpack
@@ -42,6 +42,9 @@ class ParseError(ValueError):
 class EvaluationError(ValueError):
     """Raised when evaluation meets a variable the valuation does not bind."""
 
+
+# module names, so that the folds' callbacks look up no enum attribute per node
+_AND, _OR, _IMP, _NOT = Connective.AND, Connective.OR, Connective.IMP, Connective.NOT
 
 _RESERVED = {"rho", "sigma"}
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -61,6 +64,32 @@ class Var:
 @dataclass(frozen=True)
 class Const:
     value: Element
+
+
+def _fold(f: Formula, leaf: Callable, unary: Callable, binary: Callable):
+    """Fold f bottom-up: leaf(node) values a Var or Const, unary(op, x) a
+    Unary and binary(op, x, y) a Binary from its connective and operand
+    values.  A compound node stays on the explicit stack, as (node,), until
+    its operands are valued, so any depth is taken; each distinct node (by
+    identity) is valued once."""
+    memo = {}
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            (node,) = node
+            if type(node) is Binary:
+                memo[id(node)] = binary(node.op, memo[id(node.left)], memo[id(node.right)])
+            else:
+                memo[id(node)] = unary(node.op, memo[id(node.child)])
+        elif id(node) not in memo:
+            if type(node) is Binary:
+                stack += ((node,), node.right, node.left)  # left is valued first
+            elif type(node) is Unary:
+                stack += ((node,), node.child)
+            else:
+                memo[id(node)] = leaf(node)
+    return memo[id(f)]
 
 
 def _dag_repr(f: Formula) -> str:
@@ -228,26 +257,44 @@ def parse(text: str) -> Formula:
 # ---------------------------------------------------------------------------
 
 _PREC = {Connective.IMP: 1, Connective.OR: 2, Connective.AND: 3}
+_TIGHT = 4  # atoms and unary nodes, which never take parentheses
+_JOINED = 256
 
 
 def format_formula(f: Formula) -> str:
     """Canonical text; re-parsing yields a structurally identical AST."""
-    return _fmt(f, 0)
 
+    # a node's value is (precedence, text).  The fold keeps every value, so
+    # past _JOINED characters a text stays nested tuples, joined at the end
+    def text(*pieces):
+        try:
+            joined = "".join(pieces)
+        except TypeError:  # a piece is itself nested
+            return pieces
+        return joined if len(joined) <= _JOINED else pieces
 
-def _fmt(f: Formula, ctx: int) -> str:
-    if isinstance(f, Var):
-        return f.name
-    if isinstance(f, Const):
-        return _CONST_TEXT[f.value]
-    if isinstance(f, Unary):
-        return f.op.value + _fmt(f.child, 4)
-    prec = _PREC[f.op]
-    if f.op is Connective.IMP:
-        s = f"{_fmt(f.left, prec + 1)} -> {_fmt(f.right, prec)}"
-    else:
-        s = f"{_fmt(f.left, prec)} {f.op.value} {_fmt(f.right, prec + 1)}"
-    return f"({s})" if ctx > prec else s
+    def operand(value: tuple, ctx: int):
+        return value[1] if value[0] >= ctx else text("(", value[1], ")")
+
+    def binary(op: Connective, x: tuple, y: tuple) -> tuple:
+        prec = _PREC[op]
+        left, right = (prec + 1, prec) if op is _IMP else (prec, prec + 1)
+        return prec, text(operand(x, left), f" {op.value} ", operand(y, right))
+
+    _, pieces = _fold(
+        f,
+        lambda node: (_TIGHT, node.name if type(node) is Var else _CONST_TEXT[node.value]),
+        lambda op, x: (_TIGHT, text(op.value, operand(x, _TIGHT))),
+        binary,
+    )
+    out, stack = [], [pieces]
+    while stack:
+        piece = stack.pop()
+        if type(piece) is str:
+            out.append(piece)
+        else:
+            stack += reversed(piece)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -260,27 +307,15 @@ Valuation = Mapping[str, Element]
 def evaluate(f: Formula, valuation: Valuation) -> Element:
     """Structural fold through the algebra's operations; a shared operand
     (as `[]` and `<->` make) is evaluated once."""
-    return _evaluate(f, valuation, {})
-
-
-def _evaluate(f: Formula, valuation: Valuation, memo: dict[int, Element]) -> Element:
-    if isinstance(f, Var):
-        try:
-            return valuation[f.name]
-        except KeyError:
-            raise EvaluationError(f"unbound variable {f.name!r}") from None
-    if isinstance(f, Const):
-        return f.value
-    cached = memo.get(id(f))
-    if cached is not None:
-        return cached
-    if isinstance(f, Unary):
-        value = apply(f.op, (_evaluate(f.child, valuation, memo),))
-    else:
-        left = _evaluate(f.left, valuation, memo)
-        value = apply(f.op, (left, _evaluate(f.right, valuation, memo)))
-    memo[id(f)] = value
-    return value
+    try:
+        return _fold(
+            f,
+            lambda node: node.value if type(node) is Const else valuation[node.name],
+            lambda op, x: apply(op, (x,)),
+            lambda op, x, y: apply(op, (x, y)),
+        )
+    except KeyError as exc:  # a variable the valuation does not bind
+        raise EvaluationError(f"unbound variable {exc.args[0]!r}") from None
 
 
 def free_vars(f: Formula) -> frozenset[str]:
@@ -303,38 +338,10 @@ def free_vars(f: Formula) -> frozenset[str]:
 MAX_TABLE_VARS = 8
 
 
-# The truth table of a formula is computed in one AST walk over packed
-# tables (see tables.pack): entry k occupies the low two bits of byte k, so
-# the boolean connectives are single bitwise operations on the whole table
-# and delta is a shift plus two masks.
-def _packed_walk(f: Formula, env: Mapping[str, int], n: int, memo: dict[int, int]) -> int:
-    # substitution shares subtree objects, so memoize per walk by identity;
-    # trees produced by composing formulas would otherwise cost exponential
-    key = id(f)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    ones, lo, hi = packed_masks(n)
-    if isinstance(f, Var):
-        value = env[f.name]
-    elif isinstance(f, Const):
-        value = lo * int(f.value)
-    elif isinstance(f, Unary):
-        x = _packed_walk(f.child, env, n, memo)
-        value = x ^ ones if f.op is Connective.NOT else hi | ((x >> 1) & lo)
-    else:
-        left = _packed_walk(f.left, env, n, memo)
-        right = _packed_walk(f.right, env, n, memo)
-        if f.op is Connective.AND:
-            value = left & right
-        elif f.op is Connective.OR:
-            value = left | right
-        else:
-            value = (left ^ ones) | right
-    memo[key] = value
-    return value
-
-
+# The truth table of a formula is computed in one fold over packed tables
+# (see tables.pack): entry k occupies the low two bits of byte k, so the
+# boolean connectives are single bitwise operations on the whole table and
+# delta is a shift plus two masks.
 def truth_table(f: Formula, var_order: Sequence[str]) -> FuncTable:
     """Tabulate f over all valuations of var_order, first variable most
     significant.
@@ -351,8 +358,14 @@ def truth_table(f: Formula, var_order: Sequence[str]) -> FuncTable:
             f"a truth table over {n} variables exceeds the cap of {MAX_TABLE_VARS}"
         )
     env = {name: projection_packed(n, i) for i, name in enumerate(var_order)}
+    ones, lo, hi = packed_masks(n)
     try:
-        return unpack(_packed_walk(f, env, n, {}), n)
+        return unpack(_fold(
+            f,
+            lambda node: env[node.name] if type(node) is Var else lo * node.value,
+            lambda op, x: x ^ ones if op is _NOT else hi | ((x >> 1) & lo),
+            lambda op, x, y: x & y if op is _AND else x | y if op is _OR else (x ^ ones) | y,
+        ), n)
     except KeyError:  # a variable outside var_order; name every one of them
         missing = sorted(free_vars(f) - set(var_order))
         raise ValueError(f"var_order misses free variable(s): {missing}") from None
@@ -394,20 +407,7 @@ def substitute(a: Formula, p: str, b: Formula) -> Formula:
 
 def substitute_all(a: Formula, mapping: Mapping[str, Formula]) -> Formula:
     """Simultaneously replace variables of a per mapping; shared nodes stay shared."""
-    return _subst(a, mapping, {})
+    return _fold(
+        a, lambda node: mapping.get(node.name, node) if type(node) is Var else node, Unary, Binary
+    )
 
-
-def _subst(a: Formula, mapping: Mapping[str, Formula], memo: dict) -> Formula:
-    if isinstance(a, Var):
-        return mapping.get(a.name, a)
-    if isinstance(a, Const):
-        return a
-    cached = memo.get(id(a))
-    if cached is not None:
-        return cached
-    if isinstance(a, Unary):
-        result = Unary(a.op, _subst(a.child, mapping, memo))
-    else:
-        result = Binary(a.op, _subst(a.left, mapping, memo), _subst(a.right, mapping, memo))
-    memo[id(a)] = result
-    return result

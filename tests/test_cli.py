@@ -125,11 +125,11 @@ def test_table_over_too_many_variables_is_usage_error(capsys):
         assert err == "error: a truth table over 13 variables exceeds the cap of 8\n"
 
 
-def test_long_conjunction_chain_is_usage_error(capsys):
-    # parses without recursion, then overflows the recursive table walk
-    code, _, err = invoke(capsys, "table", " & ".join(["p"] * 3000))
-    assert code == 2
-    assert "nested too deeply" in err
+def test_long_conjunction_chain_tabulates(capsys):
+    # neither the parser nor the table walk recurses on a chain
+    code, out, err = invoke(capsys, "table", " & ".join(["p"] * 3000))
+    assert code == 0
+    assert out == "1:0rs1\n"
     assert "Traceback" not in err
 
 
