@@ -30,6 +30,7 @@ from .formula import (
     format_formula,
     free_vars,
     parse,
+    tree_size,
     truth_table,
 )
 from .preservation import classify, column_text, find_violation, lookup_relation
@@ -39,6 +40,9 @@ from .tables import FuncTable, constant_table
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
+# derive-constants prints an expanded constant only up to this many tree
+# nodes; the expansions of members with larger formulas reach 10**12
+MAX_PRINTED_NODES = 10**5
 
 
 class _UsageError(ValueError):
@@ -228,6 +232,11 @@ def _cmd_closure(args) -> int:
     return 0
 
 
+def _printed(f) -> str | None:
+    """The text of f, or None when it has more than MAX_PRINTED_NODES tree nodes."""
+    return format_formula(f) if tree_size(f) <= MAX_PRINTED_NODES else None
+
+
 def _cmd_derive_constants(args) -> int:
     formulas: dict[int, str] = {}
     for label, body in _read_sigma_lines(args.sigma):
@@ -243,7 +252,7 @@ def _cmd_derive_constants(args) -> int:
         value.token: {
             "constant": value.token,
             "term": derivation.term_text(),
-            "formula": format_formula(derivation.expand()),
+            "formula": _printed(derivation.expand()),
             "table": derivation.realized.to_text(),
             "trace": [
                 {"step": step, "claim": claim} for step, claim in derivation.trace

@@ -109,21 +109,48 @@ def _dag_repr(f: Formula) -> str:
     return f"{type(f).__name__}({', '.join(out)})"
 
 
-@dataclass(frozen=True, repr=False)
+def _dag_hash(f: Formula) -> int:
+    return _fold(f, hash, lambda op, x: hash((op, x)), lambda op, x, y: hash((op, x, y)))
+
+
+def _dag_eq(f: Formula, g: object) -> bool:
+    """Structural equality: each distinct shape of either side is numbered
+    once, in one dict, so the sides are equal iff their roots' numbers are."""
+    if type(g) is not type(f):
+        return NotImplemented
+    shapes: dict = {}
+
+    def number(key) -> int:
+        return shapes.setdefault(key, len(shapes))
+
+    def shape(h: Formula) -> int:
+        return _fold(
+            h,
+            number,
+            lambda op, x: number((op, x)),
+            lambda op, x, y: number((op, x, y)),
+        )
+
+    return shape(f) == shape(g)
+
+
+# equality, hashing and repr walk the DAG, so a tower of shared operands
+# costs its distinct nodes, not its tree
+@dataclass(frozen=True, eq=False, repr=False)
 class Unary:
     op: Connective
     child: "Formula"
 
-    __repr__ = _dag_repr
+    __repr__, __eq__, __hash__ = _dag_repr, _dag_eq, _dag_hash
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Binary:
     op: Connective
     left: "Formula"
     right: "Formula"
 
-    __repr__ = _dag_repr
+    __repr__, __eq__, __hash__ = _dag_repr, _dag_eq, _dag_hash
 
 
 Formula = Union[Var, Const, Unary, Binary]
@@ -411,3 +438,7 @@ def substitute_all(a: Formula, mapping: Mapping[str, Formula]) -> Formula:
         a, lambda node: mapping.get(node.name, node) if type(node) is Var else node, Unary, Binary
     )
 
+
+def tree_size(f: Formula) -> int:
+    """The number of nodes of f as a tree, counted on its DAG."""
+    return _fold(f, lambda node: 1, lambda op, x: x + 1, lambda op, x, y: x + y + 1)

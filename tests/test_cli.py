@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,9 @@ import pytest
 import magari4
 from magari4.cli import run
 from magari4.closure import COMPOSE_BUDGET
-from magari4.formula import parse, truth_table
-from magari4.selftest import CANNED_FORMULAS
+from magari4.constants import TwelveSystem
+from magari4.formula import format_formula, parse, truth_table
+from magari4.selftest import CANNED_FORMULAS, random_twelve_tables
 from magari4.tables import FuncTable
 
 
@@ -294,6 +296,22 @@ def test_derive_constants_end_to_end(tmp_path, capsys):
         assert truth_table(parse(entry["formula"]), ("p",)).entries == tuple(
             [FuncTable.from_text(entry["table"]).entries[0]] * 4
         )
+
+
+def test_derive_constants_leaves_huge_expansions_unprinted(tmp_path):
+    # the expanded constants of this system have 1.3e9 to 9.6e11 tree nodes
+    system = TwelveSystem.from_tables(random_twelve_tables(random.Random(5)))
+    path = tmp_path / "sigma.txt"
+    path.write_text(
+        "".join(f"{m.label}: {format_formula(m.formula)}\n" for m in system.members),
+        encoding="utf-8",
+    )
+    result = invoke_child("derive-constants", "--sigma", str(path), timeout=10)
+    assert result.returncode == 0
+    payload = json.loads(result.stdout)["constants"]
+    assert {token: (entry["table"], entry["formula"]) for token, entry in payload.items()} == {
+        token: (f"1:{token * 4}", None) for token in ("0", "r", "s", "1")
+    }
 
 
 def test_derive_constants_projection_is_negative(tmp_path, capsys):

@@ -14,7 +14,7 @@ import random
 import pytest
 
 from conftest import canned_with, distinct_nodes, make_rng
-from magari4 import constants
+from magari4 import constants, selftest
 from magari4.algebra import ELEMENTS
 from magari4.closure import expressible_constants
 from magari4.constants import (
@@ -568,6 +568,17 @@ def test_term_functions_take_any_depth():
     assert term_text(renamed) == text.replace("p", "q")
     expanded = Derivation(term, ("p",), realized, (), system).expand()
     assert free_vars(expanded) == {"p"}
+
+
+def test_deep_expansions_tabulate(monkeypatch):
+    # the second 4-ary system drawn from Random(4) expands constant 0 to a
+    # formula 7,330 levels deep
+    monkeypatch.setattr(selftest, "_ARITIES", (4,))
+    rng = random.Random(4)
+    random_twelve_tables(rng)
+    system = TwelveSystem.from_tables(random_twelve_tables(rng))
+    for derivation in derive_all_constants(system).values():
+        assert truth_table(derivation.expand(), ("p",)) == derivation.realized
 
 
 def test_real_formula_membership_of_overridden_entries():

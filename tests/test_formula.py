@@ -3,6 +3,7 @@ tables (checked against the naive per-valuation evaluator), equivalence,
 and substitution laws."""
 
 import itertools
+import time
 
 import pytest
 
@@ -24,6 +25,7 @@ from magari4.formula import (
     parse,
     substitute,
     substitute_all,
+    tree_size,
     truth_table,
 )
 from magari4.preservation import preserves_delta_pairing
@@ -226,7 +228,7 @@ def test_truth_table_walks_once(monkeypatch):
 
 
 def test_truth_table_matches_naive_evaluation():
-    # the packed walker against the plain recursive evaluator
+    # the packed table walk against the reference evaluator
     rng = make_rng(2)
     names = ("p", "q")
     for _ in range(150):
@@ -325,6 +327,49 @@ def test_repr_writes_each_distinct_node_once():
 
 def test_free_vars_takes_any_depth():
     assert free_vars(parse(" & ".join(["p"] * 100_000))) == {"p"}
+
+
+def _nest(name: str, depth: int):
+    f = Var(name)
+    for i in range(depth):
+        f = Unary(Connective.NOT if i % 2 else Connective.DELTA, f)
+    return f
+
+
+def test_formula_walkers_take_any_depth():
+    # both far deeper than Python's recursion limit
+    text = " & ".join(["p"] * 100_000)
+    chain = parse(text)
+    assert truth_table(chain, ("p",)).to_text() == "1:0rs1"
+    assert format_formula(chain) == text  # so it re-parses to chain
+    assert format_formula(substitute_all(chain, {"p": Var("q")})) == text.replace("p", "q")
+    nest = _nest("p", 100_000)
+    # the parser still recurses per level, so the nest's text is compared
+    assert format_formula(nest) == "~#" * 50_000 + "p"
+    assert format_formula(substitute_all(nest, {"p": Var("q")})) == "~#" * 50_000 + "q"
+    for f in (chain, nest):
+        table = truth_table(f, ("p",))
+        assert all(evaluate(f, {"p": x}) is table[(x,)] for x in ELEMENTS)
+
+
+def _tower(name: str, levels: int):
+    # f_{i+1} = f_i & # f_i: 2 * levels + 1 node objects, 3 * 2**levels - 2
+    # nodes as a tree
+    f = Var(name)
+    for _ in range(levels):
+        f = Binary(Connective.AND, f, Unary(Connective.DELTA, f))
+    return f
+
+
+def test_equality_and_hash_walk_the_dag():
+    start = time.perf_counter()
+    a, b = _tower("p", 60), _tower("p", 60)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != _tower("q", 60)
+    assert tree_size(a) == 3 * 2**60 - 2
+    assert time.perf_counter() - start < 1.0
+    assert parse(" & ".join(["p"] * 100_000)) == parse(" & ".join(["p"] * 100_000))
+    assert parse("p & q") != parse("q & p")
 
 
 @pytest.mark.parametrize(
