@@ -8,21 +8,16 @@ twelve-member violating system.
 
 from .algebra import (
     Connective,
-    DeltaClass,
     Element,
     ELEMENTS,
     apply,
-    box,
     delta,
-    delta_class,
-    elem_equiv,
     magari_identity_report,
 )
 from .closure import (
     ClosureFragment,
     SystemSigma,
     closure_fragment,
-    contains,
     expressible_constants,
 )
 from .constants import (
@@ -46,7 +41,6 @@ from .formula import (
     format_formula,
     free_vars,
     parse,
-    substitute,
     substitute_all,
     truth_table,
 )
@@ -62,19 +56,17 @@ from .preservation import (
     preserves,
     preserves_delta_pairing,
 )
-from .synthesis import AlphaSelector, NotRepresentable, c_alpha, synthesize
-from .tables import FuncTable, compose, constant_table, projection
+from .synthesis import NotRepresentable, synthesize
+from .tables import FuncTable, constant_table, projection
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaSelector",
     "Binary",
     "ClosureFragment",
     "Connective",
     "Const",
     "Derivation",
-    "DeltaClass",
     "Element",
     "ELEMENTS",
     "EvaluationError",
@@ -91,21 +83,15 @@ __all__ = [
     "Var",
     "ViolationWitness",
     "apply",
-    "box",
     "builtin_relation",
-    "c_alpha",
     "classify",
     "closure_fragment",
-    "compose",
     "constant_table",
-    "contains",
     "counterexample",
     "delta",
-    "delta_class",
     "delta_pairing_relation",
     "delta_preserving_tables",
     "derive_all_constants",
-    "elem_equiv",
     "equivalent",
     "evaluate",
     "expressible_constants",
@@ -118,7 +104,6 @@ __all__ = [
     "preserves",
     "preserves_delta_pairing",
     "projection",
-    "substitute",
     "substitute_all",
     "synthesize",
     "truth_table",

@@ -71,13 +71,6 @@ class Connective(enum.Enum):
         return _OPS[self][0]
 
 
-class DeltaClass(enum.Enum):
-    """The two-block partition {0, rho} / {sigma, 1} induced by delta."""
-
-    LOW = "low"
-    HIGH = "high"
-
-
 # Operation tables, precomputed from the bit encoding.  All callers go
 # through these lookups; the bit rules appear only here.
 def _mk1(fn) -> tuple[Element, ...]:
@@ -93,8 +86,6 @@ _OR = _mk2(lambda x, y: x | y)
 _NOT = _mk1(lambda x: x ^ 3)
 _IMP = _mk2(lambda x, y: (x ^ 3) | y)
 _DELTA = _mk1(lambda x: 0b10 | (x >> 1))
-_BOX = _mk1(lambda x: x & (0b10 | (x >> 1)))
-_EQUIV = _mk2(lambda x, y: (((x ^ 3) | y) & ((y ^ 3) | x)))
 # each connective's (arity, table), looked up once per apply
 _OPS = {
     Connective.AND: (2, _AND),
@@ -111,10 +102,6 @@ def meet(x: Element, y: Element) -> Element:
 
 def join(x: Element, y: Element) -> Element:
     return _OR[x][y]
-
-
-def neg(x: Element) -> Element:
-    return _NOT[x]
 
 
 def imp(x: Element, y: Element) -> Element:
@@ -135,26 +122,6 @@ def apply(conn: Connective, args: Iterable[Element]) -> Element:
     if len(args) != arity:
         raise ValueError(f"{conn.value} expects {arity} argument(s), got {len(args)}")
     return table[args[0]][args[1]] if arity == 2 else table[args[0]]
-
-
-def box(x: Element) -> Element:
-    """x & delta(x), the reflexivized provability operator."""
-    return _BOX[x]
-
-
-def elem_equiv(x: Element, y: Element) -> Element:
-    """(x -> y) & (y -> x)."""
-    return _EQUIV[x][y]
-
-
-def delta_class(x: Element) -> DeltaClass:
-    """LOW iff delta(x) = sigma, HIGH iff delta(x) = 1."""
-    return DeltaClass.HIGH if _DELTA[x] is Element.ONE else DeltaClass.LOW
-
-
-def leq(x: Element, y: Element) -> bool:
-    """The lattice order: x <= y iff x & y = x."""
-    return _AND[x][y] is x
 
 
 def magari_identity_report() -> list[tuple[str, bool]]:

@@ -59,9 +59,6 @@ class ClosureFragment:
     k: int
     tables: frozenset[FuncTable]
 
-    def __contains__(self, table: FuncTable) -> bool:
-        return table in self.tables
-
     def __len__(self) -> int:
         return len(self.tables)
 
@@ -137,12 +134,3 @@ def expressible_constants(sigma: SystemSigma) -> frozenset[Element]:
     return frozenset(
         c for c in ELEMENTS if constant_table(c, 1) in fragment.tables
     )
-
-
-def contains(sigma: SystemSigma, target: FuncTable) -> bool:
-    """Membership of target in the fragment of its own arity (arity <= 3)."""
-    if not 1 <= target.arity <= 3:
-        raise ValueError(f"target arity must lie in 1..3, got {target.arity}")
-    if any(target == projection(target.arity, i) for i in range(target.arity)):
-        return True  # projections seed every fragment
-    return target in closure_fragment(sigma, target.arity).tables

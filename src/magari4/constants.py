@@ -73,10 +73,30 @@ class TermVar:
     name: str
 
 
-@dataclass(frozen=True)
+# == and hash run on _dag_fold, so they take any depth and a tower of
+# shared arguments costs its distinct nodes, not its tree
+@dataclass(frozen=True, eq=False)
 class TermApply:
     label: str
     args: tuple["Term", ...]
+
+    def __eq__(self, other: object) -> bool:
+        """Each distinct shape of either side is numbered once, in one dict,
+        so the sides are equal iff their roots' numbers are."""
+        if type(other) is not TermApply:
+            return NotImplemented
+        shapes: dict = {}
+
+        def number(key) -> int:
+            return shapes.setdefault(key, len(shapes))
+
+        def shape(term: Term) -> int:
+            return _dag_fold(term, number, lambda node, args: number((node.label, *args)))
+
+        return shape(self) == shape(other)
+
+    def __hash__(self) -> int:
+        return _dag_fold(self, hash, lambda node, args: hash((node.label, *args)))
 
 
 Term = Union[TermVar, TermApply]

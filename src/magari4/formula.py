@@ -427,11 +427,6 @@ def counterexample(f: Formula, g: Formula) -> dict[str, Element] | None:
 # ---------------------------------------------------------------------------
 
 
-def substitute(a: Formula, p: str, b: Formula) -> Formula:
-    """Replace every occurrence of the variable p in a by b."""
-    return substitute_all(a, {p: b})
-
-
 def substitute_all(a: Formula, mapping: Mapping[str, Formula]) -> Formula:
     """Simultaneously replace variables of a per mapping; shared nodes stay shared."""
     return _fold(

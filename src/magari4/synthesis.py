@@ -15,7 +15,6 @@ exactly, because d | 0 | (s & d') = d whenever d' shares d's class.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .algebra import Connective, Element
 from .formula import Binary, Const, Formula, Var, box_formula, iff_formula, truth_table
@@ -33,34 +32,15 @@ class NotRepresentable(ValueError):
     formula realizes it."""
 
 
-@dataclass(frozen=True)
-class AlphaSelector:
-    """One argument tuple together with the table value it must produce."""
-
-    alpha: tuple[Element, ...]
-    delta: Element
-
-
-def c_alpha(sel: AlphaSelector, var_names: list[str] | tuple[str, ...]) -> Formula:
-    """The selector conjunction for one argument tuple."""
-    if len(var_names) != len(sel.alpha):
-        raise ValueError(
-            f"{len(sel.alpha)} argument value(s) but {len(var_names)} variable(s)"
-        )
-    if not sel.alpha:
-        raise ValueError("selector needs at least one argument position")
-    return _selector(sel, var_names, {})
-
-
-def _selector(sel: AlphaSelector, names, clauses: dict) -> Formula:
-    # one dict per synthesize call, so each [](name <-> value) is built once
+def _selector(alpha, value: Element, names, clauses: dict) -> Formula:
+    # one dict per synthesize call, so each [](name <-> a) is built once
     conj: Formula | None = None
-    for key in zip(names, sel.alpha):
+    for key in zip(names, alpha):
         if key not in clauses:
             clauses[key] = box_formula(iff_formula(Var(key[0]), Const(key[1])))
         clause = clauses[key]
         conj = clause if conj is None else Binary(Connective.AND, conj, clause)
-    return Binary(Connective.AND, conj, Const(sel.delta))
+    return Binary(Connective.AND, conj, Const(value))
 
 
 def default_var_names(arity: int) -> tuple[str, ...]:
@@ -92,11 +72,9 @@ def synthesize(
     names = tuple(var_names) if var_names is not None else default_var_names(f.arity)
     if len(names) != f.arity:
         raise ValueError(f"need {f.arity} variable name(s), got {len(names)}")
-    selectors = [
-        AlphaSelector(pt, f.entries[k]) for k, pt in enumerate(points(f.arity))
-    ]
+    selectors = list(zip(points(f.arity), f.entries))
     if simplify:
-        kept = [s for s in selectors if s.delta is not Element.ZERO]
+        kept = [(a, v) for a, v in selectors if v is not Element.ZERO]
         result = _join_all(kept, names) if kept else Const(Element.ZERO)
         if truth_table(result, names) != f:
             raise RuntimeError("simplification changed the realized table")
@@ -106,5 +84,5 @@ def synthesize(
 
 def _join_all(selectors, names) -> Formula:
     clauses: dict = {}
-    joined = [_selector(s, names, clauses) for s in selectors]
+    joined = [_selector(alpha, value, names, clauses) for alpha, value in selectors]
     return functools.reduce(functools.partial(Binary, Connective.OR), joined)

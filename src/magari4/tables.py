@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .algebra import ELEMENTS, Element
 
@@ -43,11 +43,11 @@ class FuncTable:
     def __post_init__(self) -> None:
         if self.arity < 0:
             raise ValueError("arity must be >= 0")
-        if len(self.entries) != 4**self.arity:
-            raise ValueError(
-                f"arity {self.arity} needs {4 ** self.arity} entries, "
-                f"got {len(self.entries)}"
-            )
+        # 4**arity entries is 1 followed by 2*arity zero bits: no power of
+        # a huge arity is built to refuse it
+        n = len(self.entries)
+        if n.bit_length() != 2 * self.arity + 1 or n & (n - 1):
+            raise ValueError(f"arity {self.arity} needs 4**{self.arity} entries, got {n}")
 
     def apply(self, args: Sequence[Element]) -> Element:
         if len(args) != self.arity:
@@ -75,10 +75,6 @@ class FuncTable:
                 raise ValueError(f"bad table entry character: {ch!r}")
             entries.append(Element.from_token(ch))
         return cls(arity, tuple(entries))
-
-    @classmethod
-    def from_function(cls, arity: int, fn: Callable[..., Element]) -> "FuncTable":
-        return cls(arity, tuple(fn(*pt) for pt in points(arity)))
 
     def __str__(self) -> str:
         return self.to_text()
@@ -136,18 +132,3 @@ def compose_lanes(flat: bytes, args: Sequence[int], width: int) -> bytes:
         pick = compose_lanes(bytes(3 * (x == v) for x in range(4)), args[:1], width)
         out |= int.from_bytes(part, "little") & int.from_bytes(pick, "little")
     return out.to_bytes(width, "little")
-
-
-def compose(g: FuncTable, args: Sequence[FuncTable]) -> FuncTable:
-    """Top-composition g(t1, ..., tn) of tables of a common arity.
-
-    g has arity n; every t_i has the same arity k; the result is k-ary.
-    """
-    if len(args) != g.arity:
-        raise ValueError(f"{g.arity}-ary table composed with {len(args)} argument(s)")
-    if not args:
-        return g
-    k = args[0].arity
-    if any(t.arity != k for t in args):
-        raise ValueError("composition arguments must share one arity")
-    return unpack(compose_lanes(bytes(g.entries), [pack(t) for t in args], 4**k), k)

@@ -1,13 +1,16 @@
-"""Shared test helpers: seeded RNGs, random formula trees, system builders."""
+"""Shared test helpers: seeded RNGs, random formula trees, system builders,
+and the reference table composition."""
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 
 from magari4.algebra import ELEMENTS, Connective, Element
 from magari4.formula import Binary, Const, Formula, Unary, Var
 from magari4.selftest import CANNED_FORMULAS
+from magari4.tables import FuncTable
 
 SEED = int(os.environ.get("MAGARI4_SEED", "1789"))
 
@@ -34,10 +37,22 @@ def random_formula(rng: random.Random, variables: tuple[str, ...], depth: int) -
 
 
 def all_valuations(names: tuple[str, ...]):
-    import itertools
-
     for values in itertools.product(ELEMENTS, repeat=len(names)):
         yield dict(zip(names, values))
+
+
+def compose_pointwise(g: FuncTable, args) -> FuncTable:
+    """g(t1, ..., tm) for tables t_i of one arity, one point at a time
+    through FuncTable.apply: the reference, independent of the byte-lane
+    kernel, that compositions are tested against."""
+    k = args[0].arity
+    return FuncTable(
+        k,
+        tuple(
+            g.apply([t.apply(pt) for t in args])
+            for pt in itertools.product(ELEMENTS, repeat=k)
+        ),
+    )
 
 
 def distinct_nodes(f: Formula) -> dict[int, Formula]:

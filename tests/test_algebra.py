@@ -10,22 +10,22 @@ from magari4.algebra import (
     HIGH,
     LOW,
     Connective,
-    DeltaClass,
     Element,
     apply,
-    box,
     delta,
-    delta_class,
-    elem_equiv,
     imp,
     join,
-    leq,
     magari_identity_report,
     meet,
-    neg,
 )
+from magari4.formula import parse, truth_table
+from magari4.tables import FuncTable
 
 Z, R, S, O = ELEMENTS
+
+
+def neg(x):
+    return apply(Connective.NOT, (x,))
 
 
 # ---------------------------------------------------------------------------
@@ -103,35 +103,32 @@ def test_connective_arities():
 
 
 def test_box_values():
-    assert box(O) is O
-    assert box(Z) is Z
-    assert box(S) is S
-    assert box(R) is Z  # r & delta(r) = r & s = 0
+    box = truth_table(parse("[]p"), ("p",))
+    assert box == FuncTable.from_text("1:00s1")  # r & delta(r) = r & s = 0
     for x in ELEMENTS:
-        assert box(x) is meet(x, delta(x))
+        assert box[(x,)] is meet(x, delta(x))
 
 
 def test_elem_equiv_values():
+    equiv = truth_table(parse("p <-> q"), ("p", "q"))
     for x in ELEMENTS:
-        assert elem_equiv(x, x) is O
-    assert elem_equiv(Z, R) is S
-    assert elem_equiv(S, O) is S
-    assert elem_equiv(Z, S) is R
-    assert elem_equiv(R, O) is R
-    assert elem_equiv(Z, O) is Z
-    assert elem_equiv(R, S) is Z
+        assert equiv[(x, x)] is O
+    assert equiv[(Z, R)] is S
+    assert equiv[(S, O)] is S
+    assert equiv[(Z, S)] is R
+    assert equiv[(R, O)] is R
+    assert equiv[(Z, O)] is Z
+    assert equiv[(R, S)] is Z
     for x, y in itertools.product(ELEMENTS, repeat=2):
-        assert elem_equiv(x, y) is meet(imp(x, y), imp(y, x))
+        assert equiv[(x, y)] is meet(imp(x, y), imp(y, x))
 
 
 def test_delta_class():
-    assert delta_class(Z) is DeltaClass.LOW
-    assert delta_class(R) is DeltaClass.LOW
-    assert delta_class(S) is DeltaClass.HIGH
-    assert delta_class(O) is DeltaClass.HIGH
-    for x, y in itertools.product(ELEMENTS, repeat=2):
-        assert (delta_class(x) is delta_class(y)) == (delta(x) is delta(y))
+    # LOW is what delta sends to s, HIGH what it sends to 1
     assert LOW == {Z, R} and HIGH == {S, O}
+    for x in ELEMENTS:
+        assert (x in LOW) == (delta(x) is S)
+        assert (x in HIGH) == (delta(x) is O)
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +150,8 @@ def test_fixed_point_identity_spot_value():
 
 def test_delta_monotone():
     for x, y in itertools.product(ELEMENTS, repeat=2):
-        if leq(x, y):
-            assert leq(delta(x), delta(y))
+        if meet(x, y) is x:  # x <= y
+            assert meet(delta(x), delta(y)) is delta(x)
 
 
 def test_delta_range():

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -222,6 +223,16 @@ def test_synthesize_arity_cap_is_usage_error(capsys):
 def test_synthesize_bad_table_text(capsys):
     code, _, _ = invoke(capsys, "synthesize", "--table", "1:ssx1")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["classify", "synthesize"])
+def test_huge_table_arity_is_usage_error(capsys, command):
+    for arity in ("100000", "99999999999"):
+        start = time.perf_counter()
+        code, _, err = invoke(capsys, command, "--table", f"{arity}:0")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert f"error: arity {arity} needs" in err
 
 
 # ---------------------------------------------------------------------------

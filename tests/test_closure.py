@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from conftest import make_rng
+from conftest import compose_pointwise, make_rng
 from magari4 import closure
 from magari4.algebra import ELEMENTS, Element
 from magari4.closure import (
@@ -13,7 +13,6 @@ from magari4.closure import (
     ClosureBudgetExceeded,
     SystemSigma,
     closure_fragment,
-    contains,
     expressible_constants,
 )
 from magari4.preservation import (
@@ -25,13 +24,7 @@ from magari4.preservation import (
     random_delta_preserving_table,
 )
 from magari4.selftest import canned_system
-from magari4.tables import (
-    FuncTable,
-    compose,
-    constant_table,
-    points,
-    projection,
-)
+from magari4.tables import FuncTable, constant_table, points, projection
 
 Z, R, S, O = ELEMENTS
 
@@ -54,13 +47,13 @@ CONNECTIVE_SIGMA = SystemSigma(
 
 def enumerate_terms(sigma: SystemSigma, k: int, depth: int) -> set[FuncTable]:
     """Independent oracle: all k-ary tables of composition terms of bounded
-    depth over sigma and the projections."""
+    depth over sigma and the projections, composed point by point."""
     layers = {projection(k, i) for i in range(k)}
     for _ in range(depth):
         new = set(layers)
         for _, g in sigma.members:
             for combo in itertools.product(sorted(layers, key=lambda t: t.entries), repeat=g.arity):
-                new.add(compose(g, combo))
+                new.add(compose_pointwise(g, combo))
         if new == layers:
             break
         layers = new
@@ -86,7 +79,7 @@ def test_fragment_matches_term_enumeration_for_not_delta():
     assert by_terms == fragment.tables
     # stated members: doubled delta collapses to the constant 1, and from
     # there negation and delta reach every constant
-    assert compose(DELTA, (DELTA,)) in fragment.tables
+    assert compose_pointwise(DELTA, (DELTA,)) in fragment.tables
     assert constant_table(O, 1) in fragment.tables
 
 
@@ -94,7 +87,7 @@ def test_fragment_matches_term_enumeration_small_binary():
     sigma = SystemSigma((("and", AND),))
     fragment = closure_fragment(sigma, 2)
     assert enumerate_terms(sigma, 2, depth=4) == fragment.tables
-    assert compose(AND, (projection(2, 0), projection(2, 1))) in fragment.tables
+    assert AND in fragment.tables
 
 
 def test_full_connective_system_unary_fragment_is_the_64():
@@ -108,8 +101,6 @@ def test_arity_guard():
         closure_fragment(CONNECTIVE_SIGMA, 0)
     with pytest.raises(ValueError):
         closure_fragment(CONNECTIVE_SIGMA, 4)
-    with pytest.raises(ValueError):
-        contains(CONNECTIVE_SIGMA, constant_table(Z, 0))
 
 
 def test_sigma_validation():
@@ -175,13 +166,14 @@ def test_monotone_in_the_system():
 
 
 def test_contains():
-    assert contains(CONNECTIVE_SIGMA, projection(1, 0))
-    assert contains(CONNECTIVE_SIGMA, projection(2, 1))
-    breaker = FuncTable.from_text("1:0s00")
-    assert not contains(CONNECTIVE_SIGMA, breaker)
+    unary = closure_fragment(CONNECTIVE_SIGMA, 1).tables
+    assert projection(1, 0) in unary
+    assert FuncTable.from_text("1:0s00") not in unary  # breaks the delta classes
     small = SystemSigma((("and", AND),))
-    assert contains(small, compose(AND, (projection(2, 1), projection(2, 0))))
-    assert not contains(small, NOT)
+    binary = closure_fragment(small, 2).tables
+    assert projection(2, 1) in binary
+    assert compose_pointwise(AND, (projection(2, 1), projection(2, 0))) in binary
+    assert NOT not in closure_fragment(small, 1).tables
 
 
 # ---------------------------------------------------------------------------

@@ -570,6 +570,36 @@ def test_term_functions_take_any_depth():
     assert free_vars(expanded) == {"p"}
 
 
+def test_term_equality_and_hash_take_any_depth():
+    def chain(depth, leaf):
+        term = TermVar(leaf)
+        for _ in range(depth):
+            term = TermApply("F2", (term,))
+        return term
+
+    def tower(levels, leaf):
+        term = TermVar(leaf)
+        for _ in range(levels):
+            term = TermApply("F1", (term, term))
+        return term
+
+    # a chain far deeper than Python's recursion limit
+    deep = chain(5000, "p")
+    assert hash(deep) == hash(chain(5000, "p"))
+    assert deep == chain(5000, "p")
+    assert deep != chain(5000, "q") and deep != chain(4999, "p")
+    # a tower of 2**30 tree nodes: compared and hashed on its 31 distinct nodes
+    high = tower(30, "p")
+    assert hash(high) == hash(tower(30, "p"))
+    assert high == tower(30, "p")
+    assert high != tower(30, "q") and high != TermVar("p")
+    # a derivation compares and hashes its term the same way
+    canned = canned_system()
+    first, second = derive_all_constants(canned), derive_all_constants(canned)
+    assert first == second
+    assert {hash(d) for d in first.values()} == {hash(d) for d in second.values()}
+
+
 def test_deep_expansions_tabulate(monkeypatch):
     # the second 4-ary system drawn from Random(4) expands constant 0 to a
     # formula 7,330 levels deep

@@ -2,12 +2,11 @@
 tables (checked against the naive per-valuation evaluator), equivalence,
 and substitution laws."""
 
-import itertools
 import time
 
 import pytest
 
-from conftest import all_valuations, distinct_nodes, make_rng, random_formula
+from conftest import all_valuations, compose_pointwise, distinct_nodes, make_rng, random_formula
 from magari4 import formula
 from magari4.algebra import ELEMENTS, Connective, apply, delta
 from magari4.formula import (
@@ -23,13 +22,12 @@ from magari4.formula import (
     format_formula,
     free_vars,
     parse,
-    substitute,
     substitute_all,
     tree_size,
     truth_table,
 )
 from magari4.preservation import preserves_delta_pairing
-from magari4.tables import FuncTable, compose
+from magari4.tables import projection
 
 Z, R, S, O = ELEMENTS
 
@@ -290,9 +288,9 @@ def test_equivalent_is_equivalence_relation_and_congruence():
 
 
 def test_substitute_examples():
-    assert substitute(parse("p & q"), "p", parse("# r")) == parse("# r & q")
+    assert substitute_all(parse("p & q"), {"p": parse("# r")}) == parse("# r & q")
     f = parse("p -> # p | q")
-    assert substitute(f, "p", parse("p")) == f
+    assert substitute_all(f, {"p": parse("p")}) == f
 
 
 def test_substitute_all_is_simultaneous():
@@ -403,7 +401,7 @@ def test_evaluation_homomorphism():
     for _ in range(120):
         a = random_formula(rng, names, 4)
         b = random_formula(rng, names, 3)
-        sub = substitute(a, "p", b)
+        sub = substitute_all(a, {"p": b})
         for v in all_valuations(names):
             inner = dict(v)
             inner["p"] = evaluate(b, v)
@@ -419,12 +417,8 @@ def test_substitution_composes_truth_tables():
         b = random_formula(rng, names, 3)
         table_a = truth_table(a, names)
         table_b = truth_table(b, names)
-        projections = [
-            FuncTable(2, tuple(pt[i] for pt in itertools.product(ELEMENTS, repeat=2)))
-            for i in range(2)
-        ]
-        expected = compose(table_a, (table_b, projections[1]))
-        assert truth_table(substitute(a, "p", b), names) == expected
+        expected = compose_pointwise(table_a, (table_b, projection(2, 1)))
+        assert truth_table(substitute_all(a, {"p": b}), names) == expected
 
 
 def test_formula_tables_respect_delta_classes():

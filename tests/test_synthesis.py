@@ -26,7 +26,7 @@ from magari4.preservation import (
     delta_pairing_relation,
     random_delta_preserving_table,
 )
-from magari4.synthesis import AlphaSelector, NotRepresentable, c_alpha, synthesize
+from magari4.synthesis import NotRepresentable, _selector, synthesize
 from magari4.tables import FuncTable, points
 
 Z, R, S, O = ELEMENTS
@@ -38,8 +38,7 @@ Z, R, S, O = ELEMENTS
 
 
 def test_selector_one_variable_cases():
-    sel = AlphaSelector((Z,), S)
-    f = c_alpha(sel, ("p",))
+    f = _selector((Z,), S, ("p",), {})
     assert evaluate(f, {"p": Z}) is S  # exact hit
     assert evaluate(f, {"p": R}) is S  # same class, different value
     assert evaluate(f, {"p": O}) is Z  # class broken
@@ -50,7 +49,7 @@ def test_selector_case_law_exhaustive():
     # value delta on the hit, s & delta on same-class misses, 0 otherwise
     for alpha in points(2):
         for d in ELEMENTS:
-            f = c_alpha(AlphaSelector(alpha, d), ("p1", "p2"))
+            f = _selector(alpha, d, ("p1", "p2"), {})
             for pt in points(2):
                 got = evaluate(f, dict(zip(("p1", "p2"), pt)))
                 if pt == alpha:
@@ -59,13 +58,6 @@ def test_selector_case_law_exhaustive():
                     assert got is meet(S, d)
                 else:
                     assert got is Z
-
-
-def test_selector_validation():
-    with pytest.raises(ValueError):
-        c_alpha(AlphaSelector((Z,), S), ("p", "q"))
-    with pytest.raises(ValueError):
-        c_alpha(AlphaSelector((), S), ())
 
 
 def test_final_collapse_identity():

@@ -1,19 +1,21 @@
-"""Function tables: construction, text format, composition."""
-
-import itertools
+"""Function tables: construction, text format, and the composition kernel
+against the pointwise reference."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import compose_pointwise
 from magari4.algebra import ELEMENTS, Element
 from magari4.tables import (
     FuncTable,
-    compose,
+    compose_lanes,
     constant_table,
     linear_index,
+    pack,
     points,
     projection,
+    unpack,
 )
 
 Z, R, S, O = ELEMENTS
@@ -36,6 +38,11 @@ def test_entry_count_validation():
         FuncTable(1, (Z, Z))
     with pytest.raises(ValueError):
         FuncTable(-1, ())
+    # refused without building 4**arity, and the message names the arity
+    with pytest.raises(ValueError, match="arity 100000 needs"):
+        FuncTable(100_000, (Z,))
+    with pytest.raises(ValueError, match="arity 99999999999 needs"):
+        FuncTable(99_999_999_999, (Z,) * 4)
 
 
 def test_apply_and_getitem():
@@ -75,14 +82,15 @@ def test_projection_and_constant():
         projection(2, 2)
 
 
+def compose_by_kernel(g, args):
+    """compose_lanes over the packed arguments, read back as a table."""
+    k = args[0].arity
+    return unpack(compose_lanes(bytes(g.entries), [pack(t) for t in args], 4**k), k)
+
+
 def test_compose_against_pointwise_oracle():
-    # g(t1, t2) tabulated must agree with evaluating g at the t_i outputs.
-    g = AND
-    t1 = DELTA
-    t2 = NOT
-    composed = compose(g, (t1, t2))
-    for x in ELEMENTS:
-        assert composed[(x,)] is g[(t1[(x,)], t2[(x,)])]
+    assert compose_by_kernel(AND, (DELTA, NOT)) == compose_pointwise(AND, (DELTA, NOT))
+    assert compose_by_kernel(AND, (DELTA, NOT)).to_text() == "1:ssr0"
 
 
 def tables(arity: int):
@@ -103,29 +111,10 @@ def compositions(draw):
 def test_compose_matches_apply_on_random_tables(case):
     # members above arity 4 are split on their first argument
     g, args = case
-    composed = compose(g, args)
-    k = args[0].arity
-    assert composed.arity == k
-    for pt in points(k):
-        assert composed[pt] is g[tuple(t[pt] for t in args)]
+    assert compose_by_kernel(g, args) == compose_pointwise(g, args)
 
 
 def test_compose_projection_identity():
-    for t in (DELTA, NOT):
-        assert compose(t, (projection(1, 0),)) == t
-
-
-def test_compose_arity_checks():
-    with pytest.raises(ValueError):
-        compose(AND, (DELTA,))
-    with pytest.raises(ValueError):
-        compose(AND, (DELTA, AND))
-
-
-def test_from_function():
-    t = FuncTable.from_function(2, lambda x, y: Element(int(x) | int(y)))
-    assert t[(R, S)] is O
-    assert all(
-        t[(x, y)] is Element(int(x) | int(y))
-        for x, y in itertools.product(ELEMENTS, repeat=2)
-    )
+    for t in (DELTA, NOT, AND):
+        identity = [projection(t.arity, i) for i in range(t.arity)]
+        assert compose_by_kernel(t, identity) == t
