@@ -25,6 +25,7 @@ trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping, Sequence, Union
 
 from .algebra import ELEMENTS, HIGH, LOW, Element, delta
@@ -73,9 +74,9 @@ class TermVar:
     name: str
 
 
-# == and hash run on _dag_fold, so they take any depth and a tower of
-# shared arguments costs its distinct nodes, not its tree
-@dataclass(frozen=True, eq=False)
+# ==, hash and repr run on _dag_fold, so they take any depth and a tower
+# of shared arguments costs its distinct nodes, not its tree
+@dataclass(frozen=True, eq=False, repr=False)
 class TermApply:
     label: str
     args: tuple["Term", ...]
@@ -97,6 +98,19 @@ class TermApply:
 
     def __hash__(self) -> int:
         return _dag_fold(self, hash, lambda node, args: hash((node.label, *args)))
+
+    def __repr__(self) -> str:
+        """Each distinct application once, as `%k = label[args]`, innermost
+        first: F1[t, t] over one shared t = F2[p] reads
+        `TermApply(%0 = F2[p], %1 = F1[%0,%0])`."""
+        lines: list[str] = []
+
+        def name(node: TermApply, args: list[str]) -> str:
+            lines.append(f"%{len(lines)} = {node.label}[{','.join(args)}]")
+            return f"%{len(lines) - 1}"
+
+        _dag_fold(self, lambda v: v.name, name)
+        return f"TermApply({', '.join(lines)})"
 
 
 Term = Union[TermVar, TermApply]
@@ -176,6 +190,9 @@ class TwelveSystem:
     and witness here, once; the engine relies on that."""
 
     members: tuple[SystemMember, ...]
+    # id(term node) -> (node, formula), filled by Derivation.expand; not
+    # part of the value, and dataclasses.replace starts a new one empty
+    _expansions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.members) != 12:
@@ -193,6 +210,10 @@ class TwelveSystem:
         if not 1 <= i <= 12:
             raise ValueError(f"member index out of range: {i}")
         return self.members[i - 1]
+
+    @cached_property
+    def _members_by_label(self) -> dict[str, SystemMember]:
+        return {m.label: m for m in self.members}
 
     def tables(self) -> dict[str, FuncTable]:
         return {m.label: m.table for m in self.members}
@@ -302,15 +323,28 @@ class Derivation:
     def expand(self) -> Formula:
         """The term as a plain formula, member applications substituted out.
 
-        Shared term nodes expand to shared formula objects, and substitution
-        keeps shared member nodes (a synthesized formula's clauses) shared, so
-        the result is compact in memory even when its printed text is not.
+        Each term node is substituted into its member's formula once per
+        system: the system keeps a dict that lives as long as the system and
+        holds one entry per term node expanded against it, so the four
+        constants of one engine run share the expansions of the subterms
+        they share.  Shared term nodes expand to shared formula objects, and
+        substitution keeps shared member nodes (a synthesized formula's
+        clauses) shared, so the result is compact in memory even when its
+        printed text is not.
         """
-        members = {m.label: m for m in self.system.members}
+        expansions = self.system._expansions
+        members = self.system._members_by_label
 
         def substitute(node: TermApply, args: list[Formula]) -> Formula:
+            # an entry holds its node, so its id is not reused while it
+            # lives; the identity check covers a copied system's entries
+            hit = expansions.get(id(node))
+            if hit is not None and hit[0] is node:
+                return hit[1]
             member = members[node.label]
-            return substitute_all(member.formula, dict(zip(member.var_order, args)))
+            formula = substitute_all(member.formula, dict(zip(member.var_order, args)))
+            expansions[id(node)] = (node, formula)
+            return formula
 
         return _dag_fold(self.term, lambda v: Var(v.name), substitute)
 

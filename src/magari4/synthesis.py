@@ -32,15 +32,22 @@ class NotRepresentable(ValueError):
     formula realizes it."""
 
 
-def _selector(alpha, value: Element, names, clauses: dict) -> Formula:
-    # one dict per synthesize call, so each [](name <-> a) is built once
+def _selector(alpha, value: Element, names, shared: dict) -> Formula:
+    # one dict per synthesize call, so each [](name <-> a) clause and each
+    # constant leaf is built once
     conj: Formula | None = None
     for key in zip(names, alpha):
-        if key not in clauses:
-            clauses[key] = box_formula(iff_formula(Var(key[0]), Const(key[1])))
-        clause = clauses[key]
+        if key not in shared:
+            shared[key] = box_formula(iff_formula(Var(key[0]), _const(key[1], shared)))
+        clause = shared[key]
         conj = clause if conj is None else Binary(Connective.AND, conj, clause)
-    return Binary(Connective.AND, conj, Const(value))
+    return Binary(Connective.AND, conj, _const(value, shared))
+
+
+def _const(value: Element, shared: dict) -> Const:
+    if value not in shared:
+        shared[value] = Const(value)
+    return shared[value]
 
 
 def default_var_names(arity: int) -> tuple[str, ...]:
@@ -83,6 +90,6 @@ def synthesize(
 
 
 def _join_all(selectors, names) -> Formula:
-    clauses: dict = {}
-    joined = [_selector(alpha, value, names, clauses) for alpha, value in selectors]
+    shared: dict = {}
+    joined = [_selector(alpha, value, names, shared) for alpha, value in selectors]
     return functools.reduce(functools.partial(Binary, Connective.OR), joined)

@@ -10,6 +10,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import time
 
 import pytest
 
@@ -33,7 +34,7 @@ from magari4.constants import (
     term_table,
     term_text,
 )
-from magari4.formula import format_formula, free_vars, parse, truth_table
+from magari4.formula import Var, format_formula, free_vars, parse, substitute_all, truth_table
 from magari4.preservation import ViolationWitness
 from magari4.selftest import CANNED_FORMULAS, canned_system, random_twelve_tables
 from magari4.synthesis import synthesize
@@ -181,6 +182,17 @@ def test_randomized_systems_expand_soundly():
 
 
 
+def apply_nodes(terms) -> dict[int, TermApply]:
+    """The distinct applications (by identity) under the given terms."""
+    nodes, stack = {}, list(terms)
+    while stack:
+        t = stack.pop()
+        if isinstance(t, TermApply) and id(t) not in nodes:
+            nodes[id(t)] = t
+            stack.extend(t.args)
+    return nodes
+
+
 def test_expansion_copies_each_member_once_per_term_node():
     # each distinct term node substitutes into its member's formula once,
     # and substitution keeps the member's shared nodes shared
@@ -189,16 +201,98 @@ def test_expansion_copies_each_member_once_per_term_node():
         sysm = TwelveSystem.from_tables(random_twelve_tables(rng))
         members = {m.label: len(distinct_nodes(m.formula)) for m in sysm.members}
         for d in derive_all_constants(sysm).values():
-            term_nodes, stack = {}, [d.term]
-            while stack:
-                t = stack.pop()
-                if isinstance(t, TermApply) and id(t) not in term_nodes:
-                    term_nodes[id(t)] = t
-                    stack.extend(t.args)
             # ints only: pytest's report of a failed assert would print
             # the expansion as a tree
             size = len(distinct_nodes(d.expand()))
-            assert size <= sum(members[t.label] for t in term_nodes.values())
+            assert size <= sum(members[t.label] for t in apply_nodes([d.term]).values())
+
+
+def test_one_substitution_per_distinct_application(monkeypatch):
+    # the four constants of one run share subterms by identity, and the
+    # system's expansions serve a shared application to all four
+    calls = []
+
+    def counting(formula, mapping):
+        calls.append(formula)
+        return substitute_all(formula, mapping)
+
+    monkeypatch.setattr(constants, "substitute_all", counting)
+    rng = make_rng(33)
+    for _ in range(6):
+        sysm = TwelveSystem.from_tables(random_twelve_tables(rng))
+        derived = list(derive_all_constants(sysm).values())
+        calls.clear()
+        for d in derived:
+            d.expand()
+        assert len(calls) == len(apply_nodes(d.term for d in derived))
+        # the sum is what expanding each constant on its own would cost
+        assert len(calls) < sum(len(apply_nodes([d.term])) for d in derived)
+        for d in derived:  # a second round is served whole
+            d.expand()
+        assert len(calls) == len(apply_nodes(d.term for d in derived))
+
+
+def test_expansions_survive_reused_ids():
+    # every term is dropped after its expansion, so its memory, and with it
+    # its id, goes to a later term; an entry that did not hold its node
+    # would serve the dropped term's formula to the live one
+    sysm = canned_system()
+    tables = sysm.tables()
+    labels = sorted(tables)
+    rng = make_rng(34)
+    for _ in range(3000):
+        inner, outer = rng.choice(labels), rng.choice(labels)
+        term = TermApply(inner, (TermVar("p"),) * tables[inner].arity)
+        term = TermApply(outer, (term,) * tables[outer].arity)
+        realized = term_table(term, ("p",), tables)
+        expanded = Derivation(term, ("p",), realized, (), sysm).expand()
+        assert truth_table(expanded, ("p",)) == realized
+
+
+def expand_reference(term, sysm):
+    """The term substituted out through the members' formulas, with its own
+    memo; the reference for Derivation.expand."""
+    members = {m.label: m for m in sysm.members}
+    memo = {}
+
+    def go(t):
+        if isinstance(t, TermVar):
+            return Var(t.name)
+        if id(t) not in memo:
+            m = members[t.label]
+            memo[id(t)] = substitute_all(m.formula, dict(zip(m.var_order, map(go, t.args))))
+        return memo[id(t)]
+
+    return go(term)
+
+
+def test_expansion_follows_the_derivations_system():
+    # two systems with the same tables but different formulas run the
+    # engine alike; a derivation moved to the other system expands through
+    # that system's formulas, whatever the first system has expanded
+    by_formulas = canned_system()
+    by_tables = TwelveSystem.from_tables([m.table for m in by_formulas.members])
+    assert by_tables.tables() == by_formulas.tables()
+    before = [(sysm, hash(sysm)) for sysm in (by_tables, by_formulas)]
+    # the synthesized members expand to 10**8 tree nodes and more, so those
+    # sides compare on the DAG; the canned side compares as printed
+    for first, other in ((by_tables, by_formulas), (by_formulas, by_tables)):
+        for d in derive_all_constants(first).values():
+            own = d.expand()
+            moved = dataclasses.replace(d, system=other).expand()
+            assert own == expand_reference(d.term, first)
+            assert moved == expand_reference(d.term, other)
+            assert moved != own
+            if other is by_formulas:
+                assert format_formula(moved) == format_formula(
+                    expand_reference(d.term, other)
+                )
+    # the expansions are not part of a system's value
+    for sysm, h in before:
+        assert hash(sysm) == h
+        assert sysm == dataclasses.replace(sysm)
+    assert by_formulas == TwelveSystem.from_formulas(CANNED_FORMULAS)
+    assert hash(by_formulas) == hash(TwelveSystem.from_formulas(CANNED_FORMULAS))
 
 
 # ---------------------------------------------------------------------------
@@ -570,19 +664,21 @@ def test_term_functions_take_any_depth():
     assert free_vars(expanded) == {"p"}
 
 
+def chain(depth, leaf):
+    term = TermVar(leaf)
+    for _ in range(depth):
+        term = TermApply("F2", (term,))
+    return term
+
+
+def tower(levels, leaf):
+    term = TermVar(leaf)
+    for _ in range(levels):
+        term = TermApply("F1", (term, term))
+    return term
+
+
 def test_term_equality_and_hash_take_any_depth():
-    def chain(depth, leaf):
-        term = TermVar(leaf)
-        for _ in range(depth):
-            term = TermApply("F2", (term,))
-        return term
-
-    def tower(levels, leaf):
-        term = TermVar(leaf)
-        for _ in range(levels):
-            term = TermApply("F1", (term, term))
-        return term
-
     # a chain far deeper than Python's recursion limit
     deep = chain(5000, "p")
     assert hash(deep) == hash(chain(5000, "p"))
@@ -598,6 +694,21 @@ def test_term_equality_and_hash_take_any_depth():
     first, second = derive_all_constants(canned), derive_all_constants(canned)
     assert first == second
     assert {hash(d) for d in first.values()} == {hash(d) for d in second.values()}
+
+
+def test_term_repr_lists_each_distinct_node_once():
+    # far deeper than Python's recursion limit, and a tower of 2**22 tree
+    # nodes, each printed on its distinct nodes
+    start = time.perf_counter()
+    deep, high = repr(chain(5000, "p")), repr(tower(22, "p"))
+    assert time.perf_counter() - start < 1
+    assert deep.startswith("TermApply(%0 = F2[p], %1 = F2[%0], ")
+    assert deep.endswith(", %4999 = F2[%4998])")
+    assert high.startswith("TermApply(%0 = F1[p,p], %1 = F1[%0,%0], ")
+    assert high.endswith(", %21 = F1[%20,%20])")
+    # a derivation prints its term the same way
+    d = lemma2_B(canned_system())
+    assert repr(d).startswith("Derivation(term=TermApply(%0 = F2[p]), var_order=('p',), ")
 
 
 def test_deep_expansions_tabulate(monkeypatch):
