@@ -6,6 +6,7 @@ profiles force each path; expected constants were computed by hand from
 the member tables and are asserted exactly.
 """
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -238,15 +239,35 @@ def test_expansions_survive_reused_ids():
     # would serve the dropped term's formula to the live one
     sysm = canned_system()
     tables = sysm.tables()
-    labels = sorted(tables)
     rng = make_rng(34)
     for _ in range(3000):
-        inner, outer = rng.choice(labels), rng.choice(labels)
-        term = TermApply(inner, (TermVar("p"),) * tables[inner].arity)
-        term = TermApply(outer, (term,) * tables[outer].arity)
+        term = random_two_level_term(rng, tables)
         realized = term_table(term, ("p",), tables)
         expanded = Derivation(term, ("p",), realized, (), sysm).expand()
         assert truth_table(expanded, ("p",)) == realized
+
+
+def test_copied_system_expands_its_own_terms():
+    # a deep copy's entries hold copies of the nodes under the originals'
+    # ids; once the originals are gone, those ids go to new terms
+    tables = canned_system().tables()
+    rng = make_rng(35)
+    for _ in range(300):
+        original = canned_system()
+        term = random_two_level_term(rng, tables)
+        Derivation(term, ("p",), term_table(term, ("p",), tables), (), original).expand()
+        copied = copy.deepcopy(original)
+        del original, term
+        term = random_two_level_term(rng, tables)
+        realized = term_table(term, ("p",), tables)
+        expanded = Derivation(term, ("p",), realized, (), copied).expand()
+        assert truth_table(expanded, ("p",)) == realized
+
+
+def random_two_level_term(rng, tables) -> TermApply:
+    inner, outer = rng.choice(sorted(tables)), rng.choice(sorted(tables))
+    term = TermApply(inner, (TermVar("p"),) * tables[inner].arity)
+    return TermApply(outer, (term,) * tables[outer].arity)
 
 
 def expand_reference(term, sysm):

@@ -156,14 +156,12 @@ def test_synthesize_builds_each_clause_once():
 
 def test_synthesize_builds_each_constant_leaf_once():
     # one Const object per value, shared by the clauses and the selectors
-    table = random_delta_preserving_table(2, make_rng(31))
-    consts = [
-        node for node in distinct_nodes(synthesize(table)).values() if isinstance(node, Const)
-    ]
+    nodes = distinct_nodes(synthesize(random_delta_preserving_table(2, make_rng(31))))
+    consts = [node for node in nodes.values() if isinstance(node, Const)]
     assert len(consts) == 4 and {c.value for c in consts} == set(ELEMENTS)
     # 16 selectors of 2 AND nodes, 15 ORs, 8 clauses of 5 compound nodes
     # over their own Var, and the 4 constants
-    assert len(distinct_nodes(synthesize(table))) == 99
+    assert len(nodes) == 99
 
 
 def test_simplify_preserves_table():
