@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import ELEMENTS, HIGH, Element, delta
-from .tables import FuncTable, linear_index, points
+from .tables import FuncTable, points
 
 Column = tuple[Element, ...]
 
@@ -95,52 +95,73 @@ def preserves(f: FuncTable, relation: RelationMatrix) -> bool:
 
     For a unary relation this is closure of the column set under f.
     """
-    return next(_escapes(f, relation), None) is None
+    return _search(f, relation) is None
 
 
 def find_violation(f: FuncTable, relation: RelationMatrix) -> ViolationWitness | None:
     """First violating column selection in lexicographic order, if any."""
-    for lead, luts, lanes, s in _escapes(f, relation):
-        tails = itertools.product(relation.columns, repeat=f.arity - len(lead))
-        image = tuple(ELEMENTS[lut[lane[s]]] for lut, lane in zip(luts, lanes))
-        return ViolationWitness(lead + next(itertools.islice(tails, s, None)), image)
+    rows, sel = range(relation.arity), _search(f, relation)
+    if sel is not None:
+        return ViolationWitness(sel, tuple(f.apply([c[i] for c in sel]) for i in rows))
     return None
 
 
-def _escapes(f: FuncTable, relation: RelationMatrix):
-    """The violations of the relation by f, in lexicographic order, at most
-    one per selection of columns at f's leading arguments.
+class PreservationBudgetExceeded(ValueError):
+    """The search needs more than SEARCH_BUDGET steps."""
 
-    The selections at f's last (at most four) arguments are scanned at once
-    as byte lanes; a wider table loops over the selections at its leading
-    arguments, each picking one block of f's entries per row.  Yields
-    (leading selection, blocks, lanes, first escaping lane).
-    """
-    cols = relation.columns
+
+# Steps one search may take: per memo miss, the entries of one row's block
+# and the selections it tries.  Against all 64 columns of three rows, the
+# 8-variable conjunction takes about 2**21 and a random 4-ary table 2**24.
+SEARCH_BUDGET = 3 * 2**23
+
+
+def _search(f: FuncTable, relation: RelationMatrix) -> tuple[Column, ...] | None:
+    """The lexicographically first selection of f.arity columns whose image
+    escapes the relation, or None.  Depth first: a column cuts each row's block
+    of f's entries to the quarter its entry picks, memoized per tuple of blocks;
+    the selections at the last (at most four) arguments are scanned as lanes."""
+    cols, n = relation.columns, len(relation.columns)
     tail = min(f.arity, 4)
-    while len(cols) ** tail > _MAX_LANES:
+    while n**tail > _MAX_LANES:
         tail -= 1
     lanes, masks = _scan_tables(relation, tail)
-    entries, block = bytes(f.entries), 4**tail
-    escapes: dict[tuple[bytes, ...], int] = {}  # per tuple of blocks
-    for lead in itertools.product(cols, repeat=f.arity - tail):
-        # an empty lead reads all of f in every row
-        starts = [block * linear_index(row) for row in zip(*lead)] or [0] * relation.arity
-        luts = tuple(entries[b : b + block] for b in starts)
-        if luts not in escapes:
+    memo: dict[tuple[bytes, ...], tuple[Column, ...] | None] = {}
+    spent = 0
+
+    def first(blocks: tuple[bytes, ...]) -> tuple[Column, ...] | None:
+        nonlocal spent
+        leaf = len(blocks[0]) == 4**tail
+        # once per memo entry: one row's block, and the selections a leaf or node tries
+        spent += len(blocks[0]) + (n**tail if leaf else n)
+        if spent > SEARCH_BUDGET:
+            raise PreservationBudgetExceeded(
+                f"the preservation search needs more than {SEARCH_BUDGET} steps"
+            )
+        if leaf:
             held = 0  # lanes where some column agrees with the image on every row
             for group in masks:
                 agree = -1
-                for lut, lane, mask in zip(luts, lanes, group):
+                for lut, lane, mask in zip(blocks, lanes, group):
                     marks = lane.translate(lut.translate(mask).ljust(256, b"\0"))
                     agree &= int.from_bytes(marks, "little")
                 held |= agree
-            escapes[luts] = held.to_bytes(len(lanes[0]), "little").find(0)
-        if escapes[luts] >= 0:
-            yield lead, luts, lanes, escapes[luts]
+            s = held.to_bytes(len(lanes[0]), "little").find(0)
+            sel = None if s < 0 else tuple(cols[s // n**j % n] for j in range(tail)[::-1])
+        else:
+            q = len(blocks[0]) // 4
+            cuts = (tuple(b[q * v : q * v + q] for b, v in zip(blocks, c)) for c in cols)
+            rests = zip(cols, (memo[k] if k in memo else first(k) for k in cuts))
+            sel = next(((c, *r) for c, r in rests if r is not None), None)
+        memo[blocks] = sel
+        return sel
+
+    sel = first((bytes(f.entries),) * relation.arity)
+    del first  # it refers to itself; unlinking it frees the memo at once
+    return sel
 
 
-# Lanes per row at most; past it, selections move to the Python loop.
+# Lanes per row at most; past it, the search cuts blocks one argument more.
 _MAX_LANES = 2**16
 
 

@@ -1,5 +1,6 @@
 """Command-line front end: golden outputs, exit codes, JSON round-trips."""
 
+import itertools
 import json
 import os
 import random
@@ -15,6 +16,7 @@ from magari4.cli import run
 from magari4.closure import COMPOSE_BUDGET
 from magari4.constants import TwelveSystem
 from magari4.formula import format_formula, parse, truth_table
+from magari4.preservation import SEARCH_BUDGET, random_delta_preserving_table
 from magari4.selftest import CANNED_FORMULAS, random_twelve_tables
 from magari4.tables import FuncTable
 
@@ -153,6 +155,11 @@ def test_classify_formula_and_json(capsys):
     assert json.loads(out) == {"classes": list(range(1, 13))}
 
 
+FULL_3_ROWS = ";".join(
+    "".join(col[i] for col in itertools.product("0rs1", repeat=3)) for i in range(3)
+)
+
+
 def test_classify_an_eight_variable_table_that_preserves_everything():
     # R12 alone has 8**8 column selections at arity 8, none violating
     text = "p1 & " + " & ".join(f"(p{i} | 1)" for i in range(2, 9))
@@ -162,12 +169,32 @@ def test_classify_an_eight_variable_table_that_preserves_everything():
     done = invoke_child("violations", text, "--relations", "R12", timeout=5)
     assert done.returncode == 1
     assert done.stdout == "R12: preserved\n"
+    # every column of three rows: 64**8 selections, few distinct blocks
+    conjunction = " & ".join(f"p{i}" for i in range(1, 9))
+    done = invoke_child("violations", conjunction, "--relations", FULL_3_ROWS, timeout=5)
+    assert done.returncode == 1
+    assert done.stdout == f"{FULL_3_ROWS}: preserved\n"
+
+
+def test_preservation_search_past_its_budget_is_usage_error():
+    # a random 5-ary table has too many distinct blocks for the memo
+    table = random_delta_preserving_table(5, random.Random(1)).to_text()
+    done = invoke_child("violations", "--table", table, "--relations", FULL_3_ROWS, timeout=5)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == (
+        f"error: the preservation search needs more than {SEARCH_BUDGET} steps\n"
+    )
 
 
 def test_violations_single_relation(capsys):
     code, out, _ = invoke(capsys, "violations", "--table", "1:ss11", "--relations", "R1")
     assert code == 0
     assert out == "R1: violated by columns (0) -> image (s)\n"
+    # a constant's one selection is empty; its image still has one entry per row
+    code, out, _ = invoke(capsys, "violations", "--table", "0:s", "--relations", "R11")
+    assert code == 0
+    assert out == "R11: violated by columns () -> image (ss)\n"
 
 
 def test_violations_preserved_is_negative_answer(capsys):

@@ -169,8 +169,8 @@ def violation_cases(draw):
     rows = draw(st.integers(1, 5))
     cell = st.sampled_from(values) if draw(st.booleans()) else st.sampled_from(ELEMENTS)
     columns = draw(st.lists(st.tuples(*[cell] * rows), min_size=1, max_size=6, unique=True))
-    arity = draw(st.integers(1, 5))
-    if draw(st.booleans()):
+    arity = draw(st.integers(0, 5))
+    if arity and draw(st.booleans()):
         # a projection changed where some selection reads: a late witness
         entries = list(projection(arity, draw(st.integers(0, arity - 1))).entries)
         for _ in range(draw(st.integers(1, 3))):
@@ -201,6 +201,7 @@ def test_find_violation_matches_the_product_search(case):
     f, relation, max_lanes = case
     with mock.patch.object(preservation, "_MAX_LANES", max_lanes):
         assert find_violation(f, relation) == product_search(f, relation)
+        assert preserves(f, relation) == (product_search(f, relation) is None)
 
 
 # ---------------------------------------------------------------------------
