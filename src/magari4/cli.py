@@ -3,8 +3,8 @@
 Every subcommand is a thin adapter over the library: parse flags, call the
 corresponding function, format the result.  Exit codes: 0 success, 1
 negative answer (not equivalent, nothing violated, precondition not met),
-2 usage error (including input nested too deeply to parse), 3 internal
-check failure.
+2 usage error (bad flags or input, or a computation past its cap or
+budget), 3 internal check failure.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from functools import cached_property
 from typing import Callable, Mapping, Sequence, Union
 
 from .algebra import ELEMENTS, HIGH, LOW, Element, delta
-from .formula import Const, Formula, Var, free_vars, parse, substitute_all, truth_table
+from .formula import Formula, Var, free_vars, parse, substitute_all, truth_table
 from .preservation import (
     ViolationWitness,
     builtin_relation,
@@ -247,15 +247,12 @@ class TwelveSystem:
     ) -> "TwelveSystem":
         """Build a system from twelve tables by synthesizing a realizing
         formula for each (so the tables must respect the delta pairing);
-        F_i keeps its table, which synthesis checked, over p1..pn."""
+        F_i keeps its table, which synthesis checked, over p1..pn, even
+        when its formula is a constant."""
         members = []
         for i, table in enumerate(_twelve(tables), start=1):
-            names = default_var_names(table.arity)
             formula = synthesize(table, simplify=True)
-            if isinstance(formula, Const):  # all-zero table simplified to `0`
-                formula = synthesize(table, simplify=False)
-                table = truth_table(formula, names)
-            members.append(_member(i, formula, table, names))
+            members.append(_member(i, formula, table, default_var_names(table.arity)))
         return cls(tuple(members))
 
 

@@ -13,7 +13,10 @@ Concrete syntax (EBNF):
 Precedence is {~, #, []} > & > | > -> > <->; `->` associates to the right,
 `&`, `|` and `<->` to the left.  The derived connectives are expanded at
 parse time and never appear as AST nodes: `[]A` becomes `(A & #A)` and
-`A <-> B` becomes `((A -> B) & (B -> A))`.
+`A <-> B` becomes `((A -> B) & (B -> A))`.  `parse` reads this syntax in
+one operator-precedence loop over explicit stacks, and the walkers share
+one explicit-stack fold, so no function here is limited by a formula's
+depth.
 
 Variables are identifiers (letter, then letters/digits/underscore); `rho`
 and `sigma` are reserved for the constants, so `r` and `s` remain usable as
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping, Sequence, Union
 
 from .algebra import Connective, Element, apply
@@ -172,8 +176,8 @@ def iff_formula(a: Formula, b: Formula) -> Formula:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"(<->|->|\[\]|[~#&|()])|([A-Za-z][A-Za-z0-9_]*)|([01])")
-_WS_RE = re.compile(r"\s*")
+# a token, or in the second group the stray character where none starts
+_TOKEN_RE = re.compile(r"\s*(?:(<->|->|\[\]|[~#&|()]|[A-Za-z][A-Za-z0-9_]*|[01])|(\S))")
 
 _CONST_TEXT = {
     Element.ZERO: "0",
@@ -183,100 +187,76 @@ _CONST_TEXT = {
 }
 _CONST_WORDS = {text: value for value, text in _CONST_TEXT.items()}
 
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tok: str | None = None
-        self.tok_pos = 0
-        self._advance()
-
-    def _advance(self) -> None:
-        self.pos = _WS_RE.match(self.text, self.pos).end()
-        self.tok_pos = self.pos
-        if self.pos >= len(self.text):
-            self.tok = None
-            return
-        m = _TOKEN_RE.match(self.text, self.pos)
-        if not m:
-            raise ParseError(f"unexpected character {self.text[self.pos]!r}", self.pos)
-        self.tok = m.group(0)
-        self.pos = m.end()
-
-    def _expect(self, tok: str) -> None:
-        if self.tok != tok:
-            raise ParseError(f"expected {tok!r}", self.tok_pos)
-        self._advance()
-
-    def formula(self) -> Formula:
-        f = self.impl()
-        while self.tok == "<->":
-            self._advance()
-            f = iff_formula(f, self.impl())
-        return f
-
-    def impl(self) -> Formula:
-        f = self.disj()
-        if self.tok == "->":
-            self._advance()
-            return Binary(Connective.IMP, f, self.impl())
-        return f
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.tok == "|":
-            self._advance()
-            f = Binary(Connective.OR, f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.unary()
-        while self.tok == "&":
-            self._advance()
-            f = Binary(Connective.AND, f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        if self.tok == "~":
-            self._advance()
-            return Unary(Connective.NOT, self.unary())
-        if self.tok == "#":
-            self._advance()
-            return Unary(Connective.DELTA, self.unary())
-        if self.tok == "[]":
-            self._advance()
-            return box_formula(self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        tok = self.tok
-        if tok is None:
-            raise ParseError("unexpected end of input", self.tok_pos)
-        if tok == "(":
-            self._advance()
-            f = self.formula()
-            self._expect(")")
-            return f
-        if tok in _CONST_WORDS:
-            self._advance()
-            return Const(_CONST_WORDS[tok])
-        if _IDENT_RE.match(tok):
-            self._advance()
-            return Var(tok)
-        raise ParseError(f"unexpected token {tok!r}", self.tok_pos)
+# (binding power, node builder) of each connective.  The prefix ones bind
+# tightest; an open parenthesis binds least, so that it stays on the stack
+# as a marker until its ")" arrives.
+_PREFIX_POWER = 5
+_PREFIX = {
+    "~": (_PREFIX_POWER, partial(Unary, _NOT)),
+    "#": (_PREFIX_POWER, partial(Unary, Connective.DELTA)),
+    "[]": (_PREFIX_POWER, box_formula),
+}
+_INFIX = {
+    "&": (4, partial(Binary, _AND)),
+    "|": (3, partial(Binary, _OR)),
+    "->": (2, partial(Binary, _IMP)),
+    "<->": (1, iff_formula),
+}
+_OPEN = (0, None)
 
 
 def parse(text: str) -> Formula:
-    """Parse formula text into an AST; raises ParseError with a position."""
-    p = _Parser(text)
-    try:
-        f = p.formula()
-    except RecursionError:
-        raise ParseError("formula nested too deeply", p.tok_pos) from None
-    if p.tok is not None:
-        raise ParseError(f"trailing input {p.tok!r}", p.tok_pos)
-    return f
+    """Parse formula text into an AST; raises ParseError with a position.
+
+    One operator-precedence loop: `out` holds the operands built so far and
+    `ops` the pending connectives and open parentheses, so nesting costs
+    stack entries, not Python frames, and any depth is taken."""
+    out: list[Formula] = []
+    ops: list[tuple] = []
+
+    def reduce(power: int) -> None:
+        # build each pending connective on top of ops that binds at least power
+        while ops and ops[-1][0] >= power:
+            op_power, build = ops.pop()
+            if op_power == _PREFIX_POWER:
+                out[-1] = build(out[-1])
+            else:
+                right = out.pop()
+                out[-1] = build(out[-1], right)
+
+    operand = True  # the next token must start an operand
+    for m in _TOKEN_RE.finditer(text):
+        tok, pos = m[1], m.start(m.lastindex)
+        if tok is None:
+            raise ParseError(f"unexpected character {m[2]!r}", pos)
+        if operand:
+            if tok in _PREFIX:
+                ops.append(_PREFIX[tok])
+            elif tok == "(":
+                ops.append(_OPEN)
+            elif tok in _INFIX or tok == ")":
+                raise ParseError(f"unexpected token {tok!r}", pos)
+            else:
+                out.append(Const(_CONST_WORDS[tok]) if tok in _CONST_WORDS else Var(tok))
+                operand = False
+        elif tok in _INFIX:
+            power = _INFIX[tok][0]
+            reduce(power + (tok == "->"))  # an equal power stays: `->` groups right
+            ops.append(_INFIX[tok])
+            operand = True
+        elif tok == ")":
+            reduce(1)
+            if not ops:
+                raise ParseError("trailing input ')'", pos)
+            ops.pop()
+        else:
+            raise ParseError("expected ')'" if _OPEN in ops else f"trailing input {tok!r}", pos)
+    if operand:
+        raise ParseError("unexpected end of input", len(text))
+    reduce(1)
+    if ops:
+        raise ParseError("expected ')'", len(text))
+    return out[0]
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,8 @@ def _search(f: FuncTable, relation: RelationMatrix) -> tuple[Column, ...] | None
     of f's entries to the quarter its entry picks, memoized per tuple of blocks;
     the selections at the last (at most four) arguments are scanned as lanes."""
     cols, n = relation.columns, len(relation.columns)
+    if n.bit_length() > 2 * relation.arity:  # n == 4**arity: every image is a column
+        return None
     tail = min(f.arity, 4)
     while n**tail > _MAX_LANES:
         tail -= 1

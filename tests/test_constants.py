@@ -35,7 +35,15 @@ from magari4.constants import (
     term_table,
     term_text,
 )
-from magari4.formula import Var, format_formula, free_vars, parse, substitute_all, truth_table
+from magari4.formula import (
+    Const,
+    Var,
+    format_formula,
+    free_vars,
+    parse,
+    substitute_all,
+    truth_table,
+)
 from magari4.preservation import ViolationWitness
 from magari4.selftest import CANNED_FORMULAS, canned_system, random_twelve_tables
 from magari4.synthesis import synthesize
@@ -135,11 +143,12 @@ def test_from_tables_keeps_the_checked_tables(monkeypatch):
         assert m.var_order == tuple(f"p{k}" for k in range(1, m.table.arity + 1))
 
 
-def test_from_tables_tabulates_the_all_zero_fallback():
+def test_from_tables_keeps_an_all_zero_member_as_the_constant():
     # an all-zero table simplifies to the constant 0, which has no variable;
-    # the unsimplified formula takes its place
+    # it stays the member formula, and the member keeps its table over p1
     tables = {**random_twelve_tables(make_rng(12)), 2: FuncTable.from_text("1:0000")}
     m = TwelveSystem.from_tables(tables).member(2)
+    assert m.formula == Const(Z)
     assert m.table == tables[2]
     assert m.var_order == ("p1",)
     assert truth_table(m.formula, ("p1",)) == tables[2]

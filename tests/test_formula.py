@@ -86,25 +86,34 @@ def test_precedence_and_associativity():
     assert parse("~#p") == Unary(Connective.NOT, Unary(Connective.DELTA, Var("p")))
 
 
+PARSE_ERRORS = (
+    ("p & $q", "unexpected character '$'", 4),
+    ("(p & q", "expected ')'", 6),
+    ("p q", "trailing input 'q'", 2),
+    ("p)", "trailing input ')'", 1),
+    (")", "unexpected token ')'", 0),
+    ("p & & q", "unexpected token '&'", 4),
+    ("((p)", "expected ')'", 4),
+    ("p <-> ", "unexpected end of input", 6),
+    ("[] (q |)", "unexpected token ')'", 7),
+    ("", "unexpected end of input", 0),
+    ("p ->", "unexpected end of input", 4),
+)
+
+
 def test_parse_errors_carry_positions():
-    with pytest.raises(ParseError) as err:
-        parse("p & $q")
-    assert err.value.position == 4
-    with pytest.raises(ParseError):
-        parse("(p & q")
-    with pytest.raises(ParseError):
-        parse("p q")
-    with pytest.raises(ParseError):
-        parse("")
-    with pytest.raises(ParseError):
-        parse("p ->")
+    for text, message, position in PARSE_ERRORS:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"{message} (at position {position})", text
+        assert err.value.position == position, text
 
 
-def test_deep_nesting_is_parse_error():
-    # the parser recurses once per level; running out of stack is reported
-    # as malformed input, not as a RecursionError
-    with pytest.raises(ParseError, match="nested too deeply"):
-        parse("(" * 200 + "p" + ")" * 200)
+def test_parse_takes_any_depth():
+    # far deeper than Python's recursion limit
+    assert parse("(" * 200_000 + "p" + ")" * 200_000) == Var("p")
+    nest = _nest("p", 100_000)
+    assert parse(format_formula(nest)) == nest
 
 
 def test_sigma_of_contradiction_is_sigma_everywhere():
@@ -342,9 +351,8 @@ def test_formula_walkers_take_any_depth():
     assert format_formula(chain) == text  # so it re-parses to chain
     assert format_formula(substitute_all(chain, {"p": Var("q")})) == text.replace("p", "q")
     nest = _nest("p", 100_000)
-    # the parser still recurses per level, so the nest's text is compared
-    assert format_formula(nest) == "~#" * 50_000 + "p"
-    assert format_formula(substitute_all(nest, {"p": Var("q")})) == "~#" * 50_000 + "q"
+    assert parse(format_formula(nest)) == nest
+    assert parse(format_formula(substitute_all(nest, {"p": Var("q")}))) == _nest("q", 100_000)
     for f in (chain, nest):
         table = truth_table(f, ("p",))
         assert all(evaluate(f, {"p": x}) is table[(x,)] for x in ELEMENTS)
