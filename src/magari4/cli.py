@@ -95,7 +95,7 @@ def _cmd_eval(args) -> int:
 def _formula_table(text: str, names: tuple[str, ...] | None = None) -> FuncTable:
     """The formula's table over names, by default its sorted free variables."""
     f = parse(text)
-    return truth_table(f, names or tuple(sorted(free_vars(f))))
+    return truth_table(f, tuple(sorted(free_vars(f))) if names is None else names)
 
 
 def _cmd_table(args) -> int:

@@ -349,23 +349,28 @@ class Derivation:
         return len(set(self.realized.entries)) == 1
 
 
-class _Runner:
-    """Shared plumbing for one engine run over a fixed system."""
+def _tabulate(term: Term, system: TwelveSystem) -> FuncTable:
+    return term_table(term, ("p",), system.tables())
 
-    def __init__(self, system: TwelveSystem):
-        self.system = system
-        self.tables = system.tables()
 
-    def tabulate(self, term: Term) -> FuncTable:
-        return term_table(term, ("p",), self.tables)
+def _check(cond: bool, trace: list[TraceStep], step: str, claim: str) -> None:
+    if not cond:
+        raise InternalProofCheckFailed(f"{step}: {claim}")
+    trace.append((step, claim))
 
-    def unary(self, term: Term, realized: FuncTable, trace: list[TraceStep]) -> Derivation:
-        return Derivation(term, ("p",), realized, tuple(trace), self.system)
 
-    def check(self, cond: bool, trace: list[TraceStep], step: str, claim: str) -> None:
-        if not cond:
-            raise InternalProofCheckFailed(f"{step}: {claim}")
-        trace.append((step, claim))
+def _lower(
+    keep: bool, term: Term, B: Term, trace: list[TraceStep], step: str, kept: str, lowered: str
+) -> Term:
+    """term itself when keep holds, else B[term]; the trace records which."""
+    trace.append((step, kept if keep else lowered))
+    return term if keep else term_subst(B, {"p": term})
+
+
+def _apply_witness(m: SystemMember, slot: Mapping[tuple[Element, ...], Term]) -> Term:
+    """The member applied to slot[col] at each position, col being the
+    witness column selected there."""
+    return TermApply(m.label, tuple(slot[col] for col in m.witness.selected_columns))
 
 
 def _gate(cond: bool, message: str) -> None:
@@ -387,7 +392,6 @@ def _collapse(
     system: TwelveSystem, i: int, name: str, x: Element, allowed: frozenset[Element]
 ) -> Derivation:
     """F_i with every variable set to p, checked to map x into allowed."""
-    r = _Runner(system)
     m = system.member(i)
     w = m.witness
     cols = ";".join(map(column_text, w.selected_columns))
@@ -396,23 +400,22 @@ def _collapse(
         (f"lemma{i}.witness", f"F{i} maps columns ({cols}) of R{i} to ({img}) outside")
     ]
     term = TermApply(m.label, (TermVar("p"),) * m.table.arity)
-    realized = r.tabulate(term)
+    realized = _tabulate(term, system)
     v = realized.entries[x]
     within = ",".join(e.token for e in ELEMENTS if e in allowed)
-    r.check(
+    _check(
         v in allowed,
         trace,
         f"lemma{i}.{name}",
         f"{name} := F{i} with every variable set to p; "
         f"{name}[{x.token}] = {v.token}, in {{{within}}}",
     )
-    return r.unary(term, realized, trace)
+    return Derivation(term, ("p",), realized, tuple(trace), system)
 
 
 def lemma3(A: Derivation, B: Derivation, system: TwelveSystem) -> Derivation:
     """A constant in {0, r} from A, B with B[sigma] = B[1] (and F12 when
     B maps 0 upward)."""
-    r = _Runner(system)
     a = A.realized.entries
     b = B.realized.entries
     _gate(a[0] in HIGH, f"A[0] = {a[0].token} must lie in {{s,1}}")
@@ -431,21 +434,21 @@ def lemma3(A: Derivation, B: Derivation, system: TwelveSystem) -> Derivation:
         trace.append(("lemma3.case1", f"B[0] = {b[0].token} stays in {{0,r}}"))
         inner = term_subst(A.term, {"p": B.term})
         final = term_subst(B.term, {"p": inner})
-        realized = r.tabulate(final)
+        realized = _tabulate(final, system)
         v = realized.entries[0]
-        r.check(
+        _check(
             len(set(realized.entries)) == 1 and v in LOW,
             trace,
             "lemma3.case1",
             f"B[A[B(p)]] is constant {v.token}, in {{0,r}}",
         )
-        return r.unary(final, realized, trace)
+        return Derivation(final, ("p",), realized, tuple(trace), system)
 
     trace.append(("lemma3.case2", f"B[0] = {b[0].token} lands in {{s,1}}; use F12"))
     m12 = system.member(12)
     w = m12.witness
     img_a, img_b = w.image
-    r.check(
+    _check(
         delta(img_a) is delta(img_b),
         trace,
         "lemma3.D",
@@ -460,27 +463,25 @@ def lemma3(A: Derivation, B: Derivation, system: TwelveSystem) -> Derivation:
             + ",".join(f"p{s}" for s in slots),
         )
     )
-    dstar_term = TermApply(
-        m12.label, tuple(TermVar("p" if s <= 4 else "q") for s in slots)
+    dstar_term = _apply_witness(
+        m12, {col: TermVar("p" if k < 4 else "q") for k, col in enumerate(pair_order)}
     )
-    dstar = term_table(dstar_term, ("p", "q"), r.tables)
+    dstar = term_table(dstar_term, ("p", "q"), system.tables())
     d01 = dstar.entries[3]  # at (0, 1)
     d10 = dstar.entries[12]  # at (1, 0)
-    r.check(
+    _check(
         delta(d01) is delta(d10),
         trace,
         "lemma3.D*",
         f"D* := D[p,p,p,p,q,q,q,q]; D*[0,1]={d01.token} and D*[1,0]={d10.token} "
         "share a delta class",
     )
-    if d01 in LOW:
-        dprime_term = dstar_term
-        trace.append(("lemma3.D'", "D' := D* (D*[0,1] already in {0,r})"))
-    else:
-        dprime_term = term_subst(B.term, {"p": dstar_term})
-        trace.append(("lemma3.D'", "D' := B[D*] (D*[0,1] in {s,1})"))
-    dprime = term_table(dprime_term, ("p", "q"), r.tables)
-    r.check(
+    dprime_term = _lower(
+        d01 in LOW, dstar_term, B.term, trace, "lemma3.D'",
+        "D' := D* (D*[0,1] already in {0,r})", "D' := B[D*] (D*[0,1] in {s,1})",
+    )
+    dprime = term_table(dprime_term, ("p", "q"), system.tables())
+    _check(
         dprime.entries[3] in LOW and dprime.entries[12] in LOW,
         trace,
         "lemma3.D'",
@@ -488,31 +489,31 @@ def lemma3(A: Derivation, B: Derivation, system: TwelveSystem) -> Derivation:
         "both in {0,r}",
     )
     inner_term = term_subst(dprime_term, {"q": B.term})
-    inner = r.tabulate(inner_term)
-    r.check(
+    inner = _tabulate(inner_term, system)
+    _check(
         all(v in LOW for v in inner.entries),
         trace,
         "lemma3.case2",
         "D'[p, B(p)] ranges in {0,r}",
     )
     mid_term = term_subst(B.term, {"p": inner_term})
-    mid = r.tabulate(mid_term)
-    r.check(
+    mid = _tabulate(mid_term, system)
+    _check(
         all(v in HIGH for v in mid.entries),
         trace,
         "lemma3.case2",
         "B[D'[p, B(p)]] ranges in {s,1}",
     )
     final = term_subst(B.term, {"p": mid_term})
-    realized = r.tabulate(final)
+    realized = _tabulate(final, system)
     v = realized.entries[0]
-    r.check(
+    _check(
         len(set(realized.entries)) == 1 and v in LOW,
         trace,
         "lemma3.case2",
         f"B[B[D'[p, B(p)]]] is constant {v.token}, in {{0,r}}",
     )
-    return r.unary(final, realized, trace)
+    return Derivation(final, ("p",), realized, tuple(trace), system)
 
 
 def lemma4(A: Derivation, B: Derivation, system: TwelveSystem) -> Derivation:
@@ -526,118 +527,109 @@ def lemma4(A: Derivation, B: Derivation, system: TwelveSystem) -> Derivation:
         b[2] is not b[3],
         f"B[sigma] = B[1] = {b[3].token}: lemma3 applies, not lemma4",
     )
-    r = _Runner(system)
     # A's own steps enter once, in the closing lemma3 call.
     trace: list[TraceStep] = list(B.trace)
     trace.append(
         ("lemma4.entry", f"B[sigma]={b[2].token} differs from B[1]={b[3].token}")
     )
-    return _resolve(r, A, r.unary(B.term, B.realized, trace))
+    return _resolve(A, B.term, B.realized, trace, system)
 
 
-def _resolve(r: _Runner, A: Derivation, cand: Derivation) -> Derivation:
-    """Route a candidate with cand[1] in {0, r} to the closing construction."""
-    c = cand.realized.entries
+def _resolve(
+    A: Derivation, term: Term, realized: FuncTable, trace: list[TraceStep], system: TwelveSystem
+) -> Derivation:
+    """Route a candidate with [1] in {0, r} to the closing construction:
+    lemma3 once [sigma] = [1], else the corrector for its profile."""
+    cand = Derivation(term, ("p",), realized, tuple(trace), system)
+    c = realized.entries
     if c[2] is c[3]:
-        return lemma3(A, cand, r.system)
+        return lemma3(A, cand, system)
     if c[3] is _R:
-        return _case_low_one(r, A, cand)
+        return _case_low_one(A, cand, system)
     if c[3] is _Z:
-        return _case_low_zero(r, A, cand)
+        return _case_low_zero(A, cand, system)
     raise InternalProofCheckFailed(
         f"candidate maps 1 to {c[3].token}, expected a value in {{0,r}}"
     )
 
 
-def _witness_values(m: SystemMember) -> tuple[list[Element], Element]:
-    """Unary-relation witness: selected element per position plus the image."""
-    return [col[0] for col in m.witness.selected_columns], m.witness.image[0]
-
-
-def _case_low_one(r: _Runner, A: Derivation, cand: Derivation) -> Derivation:
+def _case_low_one(A: Derivation, cand: Derivation, system: TwelveSystem) -> Derivation:
     """Candidate profile [sigma]=0, [1]=r: correct through F3, then F7/F11
     as needed, and close with lemma3."""
     c = cand.realized.entries
     trace = list(cand.trace)
-    r.check(
+    _check(
         c[3] is _R and c[2] is _Z,
         trace,
         "lemma4.case1",
         "candidate maps sigma to 0 and 1 to r",
     )
+    p = TermVar("p")
 
-    m3 = r.system.member(3)
-    alphas, img3 = _witness_values(m3)
-    r.check(
+    m3 = system.member(3)
+    img3 = m3.witness.image[0]
+    _check(
         img3 in (_R, _O),
         trace,
         "lemma4.E",
         f"F3's witness over {{0,s}} has image {img3.token} in {{r,1}}",
     )
-    e_term = TermApply(
-        m3.label, tuple(cand.term if a is _Z else TermVar("p") for a in alphas)
-    )
-    e_tab = r.tabulate(e_term)
-    r.check(
+    e_term = _apply_witness(m3, {(_Z,): cand.term, (_S,): p})
+    e_tab = _tabulate(e_term, system)
+    _check(
         e_tab.entries[2] in (_R, _O),
         trace,
         "lemma4.E",
         f"E := F3 with B(p) at the 0-slots, p at the s-slots; "
         f"E[sigma] = {e_tab.entries[2].token}",
     )
-    if e_tab.entries[2] is _R:
-        estar_term = e_term
-        trace.append(("lemma4.E*", "E* := E (E[sigma] = r)"))
-    else:
-        estar_term = term_subst(cand.term, {"p": e_term})
-        trace.append(("lemma4.E*", "E* := B[E] (E[sigma] = 1)"))
-    estar = r.tabulate(estar_term)
-    r.check(estar.entries[2] is _R, trace, "lemma4.E*", "E*[sigma] = r")
+    estar_term = _lower(
+        e_tab.entries[2] is _R, e_term, cand.term, trace, "lemma4.E*",
+        "E* := E (E[sigma] = r)", "E* := B[E] (E[sigma] = 1)",
+    )
+    estar = _tabulate(estar_term, system)
+    _check(estar.entries[2] is _R, trace, "lemma4.E*", "E*[sigma] = r")
     e1 = estar.entries[3]
-    r.check(
+    _check(
         e1 in LOW, trace, "lemma4.E*", f"E*[1] = {e1.token}, in {{0,r}}"
     )
     if e1 is _R:
         trace.append(("lemma4.case1", "E*[sigma] = E*[1] = r: close via lemma3"))
-        return lemma3(A, r.unary(estar_term, estar, trace), r.system)
+        return _resolve(A, estar_term, estar, trace, system)
 
-    m7 = r.system.member(7)
-    betas, img7 = _witness_values(m7)
-    r.check(
+    m7 = system.member(7)
+    img7 = m7.witness.image[0]
+    _check(
         img7 is _O,
         trace,
         "lemma4.H",
         f"F7's witness over {{0,r,s}} has image {img7.token} = 1",
     )
-    h_args = tuple(
-        cand.term if b is _Z else (estar_term if b is _R else TermVar("p"))
-        for b in betas
-    )
-    h_term = TermApply(m7.label, h_args)
-    h_tab = r.tabulate(h_term)
-    r.check(
+    h_term = _apply_witness(m7, {(_Z,): cand.term, (_R,): estar_term, (_S,): p})
+    h_tab = _tabulate(h_term, system)
+    _check(
         h_tab.entries[2] is _O,
         trace,
         "lemma4.H",
         "H := F7 with B at 0-slots, E* at r-slots, p at s-slots; H[sigma] = 1",
     )
     h1 = h_tab.entries[3]
-    r.check(h1 in HIGH, trace, "lemma4.H", f"H[1] = {h1.token}, in {{s,1}}")
+    _check(h1 in HIGH, trace, "lemma4.H", f"H[1] = {h1.token}, in {{s,1}}")
     if h1 is _O:
         bh_term = term_subst(cand.term, {"p": h_term})
-        bh = r.tabulate(bh_term)
-        r.check(
+        bh = _tabulate(bh_term, system)
+        _check(
             bh.entries[2] is bh.entries[3] and bh.entries[3] in LOW,
             trace,
             "lemma4.case1",
             f"B[H(p)] maps sigma and 1 alike to {bh.entries[3].token}: "
             "close via lemma3",
         )
-        return lemma3(A, r.unary(bh_term, bh, trace), r.system)
+        return _resolve(A, bh_term, bh, trace, system)
 
-    m11 = r.system.member(11)
+    m11 = system.member(11)
     img_g, img_d = m11.witness.image
-    r.check(
+    _check(
         img_g is img_d,
         trace,
         "lemma4.J",
@@ -646,105 +638,82 @@ def _case_low_one(r: _Runner, A: Derivation, cand: Derivation) -> Derivation:
     j_slot = {
         (_Z, _R): cand.term,
         (_R, _Z): estar_term,
-        (_S, _O): TermVar("p"),
+        (_S, _O): p,
         (_O, _S): h_term,  # the only available profile with [sigma]=1, [1]=s
     }
-    j_term = TermApply(
-        m11.label, tuple(j_slot[col] for col in m11.witness.selected_columns)
-    )
-    j_tab = r.tabulate(j_term)
-    r.check(
+    j_term = _apply_witness(m11, j_slot)
+    j_tab = _tabulate(j_term, system)
+    _check(
         j_tab.entries[2] is j_tab.entries[3],
         trace,
         "lemma4.J",
         "J := F11 over {B, E*, p, H} keyed by witness pairs; J[sigma] = J[1]",
     )
-    if j_tab.entries[3] in LOW:
-        jstar_term = j_term
-        trace.append(("lemma4.J*", "J* := J (J[1] already in {0,r})"))
-    else:
-        jstar_term = term_subst(cand.term, {"p": j_term})
-        trace.append(("lemma4.J*", "J* := B[J] (J[1] in {s,1})"))
-    jstar = r.tabulate(jstar_term)
-    r.check(
+    jstar_term = _lower(
+        j_tab.entries[3] in LOW, j_term, cand.term, trace, "lemma4.J*",
+        "J* := J (J[1] already in {0,r})", "J* := B[J] (J[1] in {s,1})",
+    )
+    jstar = _tabulate(jstar_term, system)
+    _check(
         jstar.entries[2] is jstar.entries[3] and jstar.entries[3] in LOW,
         trace,
         "lemma4.J*",
         f"J*[sigma] = J*[1] = {jstar.entries[3].token}, in {{0,r}}: close via lemma3",
     )
-    return lemma3(A, r.unary(jstar_term, jstar, trace), r.system)
+    return _resolve(A, jstar_term, jstar, trace, system)
 
 
-def _case_low_zero(r: _Runner, A: Derivation, cand: Derivation) -> Derivation:
+def _case_low_zero(A: Derivation, cand: Derivation, system: TwelveSystem) -> Derivation:
     """Candidate profile [sigma]=r, [1]=0: correct through F4 into a
     candidate with [1]=r and resolve again."""
     c = cand.realized.entries
     trace = list(cand.trace)
-    r.check(
+    _check(
         c[3] is _Z and c[2] is _R,
         trace,
         "lemma4.case2",
         "candidate maps sigma to r and 1 to 0",
     )
-    m4 = r.system.member(4)
-    eps, img4 = _witness_values(m4)
-    r.check(
+    m4 = system.member(4)
+    img4 = m4.witness.image[0]
+    _check(
         img4 in (_R, _S),
         trace,
         "lemma4.S",
         f"F4's witness over {{0,1}} has image {img4.token} in {{r,s}}",
     )
-    s_term = TermApply(
-        m4.label, tuple(cand.term if e is _Z else TermVar("p") for e in eps)
-    )
-    s_tab = r.tabulate(s_term)
-    r.check(
+    s_term = _apply_witness(m4, {(_Z,): cand.term, (_O,): TermVar("p")})
+    s_tab = _tabulate(s_term, system)
+    _check(
         s_tab.entries[3] in (_R, _S),
         trace,
         "lemma4.S",
         f"S := F4 with B(p) at the 0-slots, p at the 1-slots; "
         f"S[1] = {s_tab.entries[3].token}",
     )
-    if s_tab.entries[3] is _R:
-        sstar_term = s_term
-        trace.append(("lemma4.S*", "S* := S (S[1] = r)"))
-    else:
-        sstar_term = term_subst(cand.term, {"p": s_term})
-        trace.append(("lemma4.S*", "S* := B[S] (S[1] = s)"))
-    sstar = r.tabulate(sstar_term)
-    r.check(sstar.entries[3] is _R, trace, "lemma4.S*", "S*[1] = r")
-    r.check(
+    sstar_term = _lower(
+        s_tab.entries[3] is _R, s_term, cand.term, trace, "lemma4.S*",
+        "S* := S (S[1] = r)", "S* := B[S] (S[1] = s)",
+    )
+    sstar = _tabulate(sstar_term, system)
+    _check(sstar.entries[3] is _R, trace, "lemma4.S*", "S*[1] = r")
+    _check(
         sstar.entries[2] in LOW,
         trace,
         "lemma4.S*",
         f"S*[sigma] = {sstar.entries[2].token}, in {{0,r}}",
     )
-    return _resolve(r, A, r.unary(sstar_term, sstar, trace))
+    return _resolve(A, sstar_term, sstar, trace, system)
 
 
 # ---------------------------------------------------------------------------
 # From one low constant to all four
 # ---------------------------------------------------------------------------
 
-_PAIR_TO_MEMBER = {
-    (_Z, _S): 3,
-    (_Z, _O): 4,
-    (_R, _S): 5,
-    (_R, _O): 6,
-}
-_TRIPLE_TO_MEMBER = {
-    frozenset({_Z, _R, _S}): 7,
-    frozenset({_Z, _R, _O}): 8,
-    frozenset({_Z, _S, _O}): 9,
-    frozenset({_R, _S, _O}): 10,
-}
-
-
 def lemma5(
     k: Derivation, A: Derivation, system: TwelveSystem
 ) -> dict[Element, Derivation]:
     """All four constants from one constant in {0, r}, A, and F3..F10."""
-    r = _Runner(system)
     _gate(
         k.is_constant() and k.realized.entries[0] in LOW,
         "k must realize a constant in {0,r}",
@@ -754,9 +723,9 @@ def lemma5(
     kval = k.realized.entries[0]
 
     c2_term = term_subst(A.term, {"p": k.term})
-    c2_tab = r.tabulate(c2_term)
+    c2_tab = _tabulate(c2_term, system)
     c2 = c2_tab.entries[0]
-    r.check(
+    _check(
         len(set(c2_tab.entries)) == 1 and c2 in HIGH,
         trace,
         "lemma5.pair",
@@ -764,44 +733,41 @@ def lemma5(
     )
     consts: dict[Element, Term] = {kval: k.term, c2: c2_term}
 
-    i = _PAIR_TO_MEMBER[(kval, c2)]
-    _extend(r, i, consts, trace)
-    j = _TRIPLE_TO_MEMBER[frozenset(consts)]
-    _extend(r, j, consts, trace)
+    _extend(system, consts, trace)  # through one of F3..F6
+    _extend(system, consts, trace)  # through one of F7..F10
     if set(consts) != set(ELEMENTS):
         raise InternalProofCheckFailed("constant bootstrap did not reach all four")
 
     out: dict[Element, Derivation] = {}
     for value in ELEMENTS:
         term = consts[value]
-        realized = r.tabulate(term)
+        realized = _tabulate(term, system)
         if realized != constant_table(value, 1):
             raise InternalProofCheckFailed(
                 f"term for constant {value.token} realizes {realized.to_text()}"
             )
         done = ("lemma5.done", f"constant {value.token} realized")
-        out[value] = r.unary(term, realized, trace + [done])
+        out[value] = Derivation(term, ("p",), realized, tuple(trace + [done]), system)
     return out
 
 
 def _extend(
-    r: _Runner, i: int, consts: dict[Element, Term], trace: list[TraceStep]
+    system: TwelveSystem, consts: dict[Element, Term], trace: list[TraceStep]
 ) -> None:
-    """Substitute already-derived constants into F_i's witness positions,
-    producing the constant the witness image names."""
-    m = r.system.member(i)
-    vals, img = _witness_values(m)
-    if any(v not in consts for v in vals):
-        raise InternalProofCheckFailed(
-            f"F{i} witness needs constants not yet derived"
-        )
-    term = TermApply(m.label, tuple(consts[v] for v in vals))
-    tab = r.tabulate(term)
-    r.check(
+    """Substitute the derived constants into the witness positions of the F_i
+    whose R_i holds exactly them, producing the constant the image names."""
+    slot = {(v,): term for v, term in consts.items()}
+    i = next(j for j in range(3, 11) if set(builtin_relation(j).columns) == slot.keys())
+    m = system.member(i)
+    cols = m.witness.selected_columns
+    term = _apply_witness(m, slot)
+    tab = _tabulate(term, system)
+    img = m.witness.image[0]
+    _check(
         len(set(tab.entries)) == 1 and tab.entries[0] is img and img not in consts,
         trace,
         f"lemma5.F{i}",
-        f"F{i} at constants ({','.join(v.token for v in vals)}) yields the new "
+        f"F{i} at constants ({','.join(map(column_text, cols))}) yields the new "
         f"constant {img.token}",
     )
     consts[img] = term

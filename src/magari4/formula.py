@@ -378,14 +378,9 @@ def truth_table(f: Formula, var_order: Sequence[str]) -> FuncTable:
         raise ValueError(f"var_order misses free variable(s): {missing}") from None
 
 
-def _joint_vars(f: Formula, g: Formula) -> tuple[str, ...]:
-    return tuple(sorted(free_vars(f) | free_vars(g)))
-
-
 def equivalent(f: Formula, g: Formula) -> bool:
     """True iff f and g agree under every valuation of their joint variables."""
-    vs = _joint_vars(f, g)
-    return truth_table(f, vs) == truth_table(g, vs)
+    return counterexample(f, g) is None
 
 
 def counterexample(f: Formula, g: Formula) -> dict[str, Element] | None:
@@ -393,7 +388,7 @@ def counterexample(f: Formula, g: Formula) -> dict[str, Element] | None:
 
     The first differing valuation in enumeration order is returned.
     """
-    vs = _joint_vars(f, g)
+    vs = tuple(sorted(free_vars(f) | free_vars(g)))
     tf = truth_table(f, vs)
     tg = truth_table(g, vs)
     for pt, a, b in zip(points(len(vs)), tf.entries, tg.entries):

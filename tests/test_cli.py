@@ -1,5 +1,6 @@
 """Command-line front end: golden outputs, exit codes, JSON round-trips."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -90,9 +91,12 @@ def test_table_respects_var_order(capsys):
 
 
 def test_table_missing_variable_is_usage_error(capsys):
-    code, _, err = invoke(capsys, "table", "p & q", "--vars", "p")
-    assert code == 2
-    assert "q" in err
+    # an explicit order is used as given, even one that names no variable
+    for order, missing in (("p", ["q"]), ("", ["p", "q"]), (" , ", ["p", "q"])):
+        code, out, err = invoke(capsys, "table", "p & q", "--vars", order)
+        assert (code, out) == (2, "")
+        assert err == f"error: var_order misses free variable(s): {missing}\n"
+    assert invoke(capsys, "table", "1", "--vars", "") == (0, "0:1\n", "")
 
 
 def test_equiv_negative_with_counterexample(capsys):
@@ -347,6 +351,10 @@ def test_derive_constants_end_to_end(tmp_path, capsys):
     path = _write_canned(tmp_path)
     code, out, _ = invoke(capsys, "derive-constants", "--sigma", str(path))
     assert code == 0
+    # the exact stdout, pinned by its size and sha256
+    assert (len(out.encode()), hashlib.sha256(out.encode()).hexdigest()) == (
+        5919, "8dcbfe1f3f26761693243e029b08b81289f9286244d0f980be19693c6ed1bf89"
+    )
     payload = json.loads(out)["constants"]
     assert sorted(payload) == ["0", "1", "r", "s"]
     for token, entry in payload.items():
@@ -369,6 +377,10 @@ def test_derive_constants_leaves_huge_expansions_unprinted(tmp_path):
     )
     result = invoke_child("derive-constants", "--sigma", str(path), timeout=10)
     assert result.returncode == 0
+    out = result.stdout.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (
+        6649, "4f3a178d927c970f4e6136fa0ed88b5efc72c97ba9efe1fa7de93051373bf4fd"
+    )
     payload = json.loads(result.stdout)["constants"]
     assert {token: (entry["table"], entry["formula"]) for token, entry in payload.items()} == {
         token: (f"1:{token * 4}", None) for token in ("0", "r", "s", "1")
