@@ -177,10 +177,14 @@ def term_table(
 @dataclass(frozen=True)
 class SystemMember:
     label: str
-    formula: Formula
+    given: Formula | None  # None: synthesized from the table on first read
     table: FuncTable
     var_order: tuple[str, ...]
     witness: ViolationWitness
+
+    @cached_property
+    def formula(self) -> Formula:
+        return self.given or synthesize(self.table, self.var_order, simplify=True)
 
 
 @dataclass(frozen=True)
@@ -245,19 +249,15 @@ class TwelveSystem:
     def from_tables(
         cls, tables: Sequence[FuncTable] | Mapping[int, FuncTable]
     ) -> "TwelveSystem":
-        """Build a system from twelve tables by synthesizing a realizing
-        formula for each (so the tables must respect the delta pairing);
-        F_i keeps its table, which synthesis checked, over p1..pn, even
-        when its formula is a constant."""
-        members = []
-        for i, table in enumerate(_twelve(tables), start=1):
-            formula = synthesize(table, simplify=True)
-            members.append(_member(i, formula, table, default_var_names(table.arity)))
-        return cls(tuple(members))
+        """Build a system from twelve tables, which must respect the delta
+        pairing.  F_i keeps its table over p1..pn and synthesizes its
+        formula, a constant for an all-zero table, when first read."""
+        return cls(tuple(_member(i, None, t, default_var_names(t.arity))
+                         for i, t in enumerate(_twelve(tables), start=1)))
 
 
 def _member(
-    i: int, formula: Formula, table: FuncTable, var_order: tuple[str, ...]
+    i: int, formula: Formula | None, table: FuncTable, var_order: tuple[str, ...]
 ) -> SystemMember:
     witness = find_violation(table, builtin_relation(i))
     if witness is None:

@@ -28,14 +28,14 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def invoke_child(*argv, timeout=60):
-    """The CLI in a child process that imports the package this process
-    imported, installed or not."""
+def invoke_child(*argv, timeout=60, module="magari4.cli"):
+    """The CLI, run as `python -m module`, in a child process that imports
+    the package this process imported, installed or not."""
     src = str(Path(magari4.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "magari4.cli", *argv],
+        [sys.executable, "-m", module, *argv],
         capture_output=True,
         text=True,
         env=env,
@@ -461,6 +461,12 @@ def test_console_entry_point():
     proc = subprocess.run(
         [exe, "eval", "p -> p", "--env", "p=s"], capture_output=True, text=True
     )
+    assert proc.returncode == 0
+    assert proc.stdout == "1\n"
+
+
+def test_package_runs_as_a_module():
+    proc = invoke_child("eval", "p -> p", "--env", "p=s", module="magari4")
     assert proc.returncode == 0
     assert proc.stdout == "1\n"
 

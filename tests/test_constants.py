@@ -46,7 +46,7 @@ from magari4.formula import (
 )
 from magari4.preservation import ViolationWitness
 from magari4.selftest import CANNED_FORMULAS, canned_system, random_twelve_tables
-from magari4.synthesis import synthesize
+from magari4.synthesis import NotRepresentable, synthesize
 from magari4.tables import FuncTable, constant_table, points
 
 Z, R, S, O = ELEMENTS
@@ -127,8 +127,9 @@ def test_from_tables_round_trip():
 
 
 def test_from_tables_keeps_the_checked_tables(monkeypatch):
-    # synthesize(simplify=True) has compared each formula's table with its
-    # input; from_tables takes that table instead of tabulating again
+    # construction checks each input table and keeps it; no formula is
+    # tabulated, and a member's formula is only made on first read, where
+    # synthesize(simplify=True) compares its table with the member's
     tables = canned_system().tables()
     inputs = {i: tables[f"F{i}"] for i in range(1, 13)}
 
@@ -177,6 +178,48 @@ def test_from_tables_checks_members_before_synthesis(monkeypatch):
     del tables[7]
     with pytest.raises(ValueError, match="missing members: F7$"):
         TwelveSystem.from_tables(tables)
+    # a table no formula realizes is refused by the member check, not by
+    # synthesize's NotRepresentable
+    tables = {**random_twelve_tables(make_rng(15)), 5: FuncTable.from_text("1:000s")}
+    with pytest.raises(ValueError, match="^F5's table breaks the delta pairing") as err:
+        TwelveSystem.from_tables(tables)
+    assert not isinstance(err.value, NotRepresentable)
+
+
+def test_table_members_synthesize_once_on_first_read(monkeypatch):
+    # from_tables makes no formula; expanding the four constants makes one
+    # per member their terms name, and nothing makes one twice
+    calls = []
+
+    def counting(table, *args, **kwargs):
+        calls.append(id(table))
+        return synthesize(table, *args, **kwargs)
+
+    monkeypatch.setattr(constants, "synthesize", counting)
+    rng = make_rng(36)
+    for _ in range(6):
+        calls.clear()
+        tables = random_twelve_tables(rng)
+        sysm, unread = TwelveSystem.from_tables(tables), TwelveSystem.from_tables(tables)
+        assert calls == []
+        derived = list(derive_all_constants(sysm).values())
+        for d in derived:
+            d.expand()
+        named = {t.label for t in apply_nodes(d.term for d in derived).values()}
+        assert sorted(calls) == sorted(id(m.table) for m in sysm.members if m.label in named)
+        for d in derived:
+            d.expand()
+        assert len(calls) == len(named)
+        formulas = [m.formula for m in sysm.members]
+        assert len(calls) == 12
+        # reading formulas moves neither a member's value nor the system's
+        assert sysm == unread and hash(sysm) == hash(unread)
+        for m, twin in zip(sysm.members, unread.members):
+            assert m == twin and hash(m) == hash(twin)
+        copied = copy.deepcopy(sysm)
+        assert copied == sysm and hash(copied) == hash(sysm)
+        assert [m.formula for m in copied.members] == formulas
+        assert len(calls) == 12
 
 
 def test_randomized_systems_expand_soundly():
