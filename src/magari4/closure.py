@@ -14,17 +14,24 @@ preserve it too).  Compositions run in batches, one per member and choice
 of new or older tables at each argument; a batch that would take the
 fixpoint past COMPOSE_BUDGET compositions is refused, before it runs, with
 ClosureBudgetExceeded.
+
+The fixpoint is one generator, _grow, that yields the packed tables each
+batch adds.  closure_fragment drains it and unpacks the fragment once;
+expressible_constants compares packed tables and stops it at the batch that
+adds the fourth constant table.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import struct
 from dataclasses import dataclass
+from typing import Iterator
 
 from .algebra import ELEMENTS, Element
 from .preservation import count_delta_preserving, preserves_delta_pairing
-from .tables import FuncTable, compose_lanes, constant_table, projection, unpack
+from .tables import FuncTable, compose_lanes, projection, unpack
 
 
 # Table compositions one closure_fragment call may make.  A delta-preserving
@@ -68,6 +75,29 @@ def closure_fragment(sigma: SystemSigma, k: int) -> ClosureFragment:
     top composition with sigma's members.  k must lie in 1..3."""
     if not 1 <= k <= 3:
         raise ValueError(f"fragment arity must lie in 1..3, got {k}")
+    packed = set().union(*_grow(sigma, k))
+    return ClosureFragment(k, frozenset(unpack(t, k) for t in packed))
+
+
+def expressible_constants(sigma: SystemSigma) -> frozenset[Element]:
+    """The constants whose one-variable constant table the system expresses.
+
+    The unary fixpoint stops at the batch that adds the fourth constant, so
+    a system that reaches all four before a batch that would pass
+    COMPOSE_BUDGET gets its answer, where closure_fragment(sigma, 1) raises
+    ClosureBudgetExceeded."""
+    wanted = {bytes((c,)) * 4: c for c in ELEMENTS}
+    found: set[Element] = set()
+    for added in _grow(sigma, 1):
+        found.update(wanted[t] for t in added.intersection(wanted))
+        if len(found) == len(wanted):
+            break
+    return frozenset(found)
+
+
+def _grow(sigma: SystemSigma, k: int) -> Iterator[set[bytes]]:
+    """The k-ary fragment, packed, as the fixpoint grows it: first the
+    projections, then the tables each composition batch adds, if any."""
     size = 4**k
     flats = [(t.arity, bytes(t.entries)) for _, t in sigma.members]
     if all(preserves_delta_pairing(t) for _, t in sigma.members):
@@ -75,11 +105,12 @@ def closure_fragment(sigma: SystemSigma, k: int) -> ClosureFragment:
     else:
         full = 4**size
     current = {bytes(projection(k, i).entries) for i in range(k)}
+    yield set(current)
     frontier = sorted(current)
     made = 0
     while frontier:
         old = sorted(current.difference(frontier))
-        new: set[bytes] = set()
+        new: list[bytes] = []
         for arity, flat in flats:
             # every argument tuple touching the frontier, enumerated once
             for pattern in itertools.product((False, True), repeat=arity):
@@ -95,12 +126,14 @@ def closure_fragment(sigma: SystemSigma, k: int) -> ClosureFragment:
                         f"{COMPOSE_BUDGET} table compositions"
                     )
                 made += batch
-                new |= _compose_batch(flat, pools, size).difference(current)
-                if len(current) + len(new) == full:
-                    return _fragment(k, current | new)
-        current |= new
+                added = _compose_batch(flat, pools, size).difference(current)
+                if added:
+                    yield added
+                    current |= added
+                    new += added
+                    if len(current) == full:
+                        return
         frontier = sorted(new)
-    return _fragment(k, current)
 
 
 def _compose_batch(flat: bytes, pools: list[list[bytes]], size: int) -> set[bytes]:
@@ -116,21 +149,9 @@ def _compose_batch(flat: bytes, pools: list[list[bytes]], size: int) -> set[byte
         inner = count // (outer * len(pool))
         lanes.append(int.from_bytes(b"".join(t * inner for t in pool) * outer, "little"))
         outer *= len(pool)
+    split = f"{size}s" * count
     out: set[bytes] = set()
     for fixed in itertools.product(*pools[:lead]):
         args = [int.from_bytes(t * count, "little") for t in fixed] + lanes
-        images = compose_lanes(flat, args, count * size)
-        out.update(images[i : i + size] for i in range(0, len(images), size))
+        out.update(struct.unpack(split, compose_lanes(flat, args, count * size)))
     return out
-
-
-def _fragment(k: int, packed: set[bytes]) -> ClosureFragment:
-    return ClosureFragment(k, frozenset(unpack(t, k) for t in packed))
-
-
-def expressible_constants(sigma: SystemSigma) -> frozenset[Element]:
-    """The constants whose one-variable constant table the system expresses."""
-    fragment = closure_fragment(sigma, 1)
-    return frozenset(
-        c for c in ELEMENTS if constant_table(c, 1) in fragment.tables
-    )

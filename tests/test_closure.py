@@ -90,6 +90,28 @@ def test_fragment_matches_term_enumeration_small_binary():
     assert AND in fragment.tables
 
 
+def test_ternary_fragment_of_the_lattice_operations(batches, monkeypatch):
+    # the free distributive lattice on three generators has 18 elements
+    sigma = SystemSigma((("and", AND), ("or", OR)))
+    by_terms = enumerate_terms(sigma, 3, depth=10)
+    assert len(by_terms) == 18
+    assert closure_fragment(sigma, 3).tables == by_terms
+    assert max(batches) > 1
+    # lanes of four 64-entry tables at most: batches loop over leading pools
+    batches.clear()
+    calls = []
+    run_lanes = closure.compose_lanes
+
+    def counting(flat, args, width):
+        calls.append(width)
+        return run_lanes(flat, args, width)
+
+    monkeypatch.setattr(closure, "compose_lanes", counting)
+    monkeypatch.setattr(closure, "_LANE_BYTES", 4 * 64)
+    assert closure_fragment(sigma, 3).tables == by_terms
+    assert max(calls) <= 4 * 64 and len(calls) > len(batches)
+
+
 def test_full_connective_system_unary_fragment_is_the_64():
     fragment = closure_fragment(CONNECTIVE_SIGMA, 1)
     assert fragment.tables == set(delta_preserving_tables(1))
@@ -117,7 +139,6 @@ def test_sigma_validation():
 
 def test_negation_alone_expresses_no_constants():
     sigma = SystemSigma((("not", NOT),))
-    assert closure_fragment(sigma, 1).tables == {IDENT, NOT}
     assert expressible_constants(sigma) == frozenset()
 
 
@@ -212,8 +233,8 @@ def plain_unary_fixpoint(members):
     return fragment, rounds
 
 
-def _random_member(rng):
-    arity = rng.choice((1, 2))
+def _random_member(rng, arities=(1, 2)):
+    arity = rng.choice(arities)
     if rng.random() < 0.25:  # usually breaks the delta classes
         return FuncTable(arity, tuple(rng.choice(ELEMENTS) for _ in range(4**arity)))
     return random_delta_preserving_table(arity, rng)
@@ -305,3 +326,57 @@ def test_budget_refuses_the_binary_fragment_of_the_probe(batches, monkeypatch):
         closure_fragment(PROBE_SIGMA, 2)
     assert batches == ran
     assert sum(ran) <= COMPOSE_BUDGET < sum(ran) + refused.value.args[0]
+
+
+def test_constants_match_the_fragment_and_stop_early(batches):
+    rng = make_rng(40)
+    systems = [(SystemSigma((("not", NOT),)), {IDENT, NOT}), (canned_system().sigma(), None)]
+    for _ in range(240):
+        members = [_random_member(rng, (1, 1, 2, 3)) for _ in range(rng.randint(1, 4))]
+        systems.append((SystemSigma(tuple((f"g{i}", t) for i, t in enumerate(members))), None))
+    answered, refused, early = {n: 0 for n in range(5)}, 0, 0
+    for sigma, pinned in systems:
+        batches.clear()
+        try:
+            tables = closure_fragment(sigma, 1).tables
+        except ClosureBudgetExceeded:
+            tables = None
+        whole = list(batches)
+        batches.clear()
+        if tables is None:
+            # the oracle raises too, unless it had all four before the refusal
+            try:
+                assert expressible_constants(sigma) == frozenset(ELEMENTS)
+            except ClosureBudgetExceeded:
+                assert batches == whole
+            refused += 1
+            continue
+        if pinned is not None:
+            assert tables == pinned
+        want = frozenset(c for c in ELEMENTS if constant_table(c, 1) in tables)
+        assert expressible_constants(sigma) == want, [t.to_text() for _, t in sigma.members]
+        # the oracle runs a prefix of the fixpoint's batches, all of them
+        # unless it has all four constants before the end
+        assert batches == whole[: len(batches)]
+        assert len(batches) == len(whole) or len(want) == 4
+        early += len(batches) < len(whole)
+        answered[len(want)] += 1
+    assert min(answered.values()) >= 1 and refused >= 1, (answered, refused)
+    assert early >= 50, early
+    # the connectives have their four constants before the 64 fill
+    batches.clear()
+    assert expressible_constants(CONNECTIVE_SIGMA) == frozenset(ELEMENTS)
+    stopped = len(batches)
+    batches.clear()
+    assert len(closure_fragment(CONNECTIVE_SIGMA, 1)) == 64
+    assert stopped < len(batches)
+
+
+def test_oracle_answers_where_the_fragment_passes_the_budget(batches, monkeypatch):
+    sigma = canned_system().sigma()
+    assert expressible_constants(sigma) == frozenset(ELEMENTS)
+    # a budget that covers exactly the batches the oracle ran
+    monkeypatch.setattr(closure, "COMPOSE_BUDGET", sum(batches))
+    assert expressible_constants(sigma) == frozenset(ELEMENTS)
+    with pytest.raises(ClosureBudgetExceeded):
+        closure_fragment(sigma, 1)
