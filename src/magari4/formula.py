@@ -18,6 +18,16 @@ one operator-precedence loop over explicit stacks, and the walkers share
 one explicit-stack fold, so no function here is limited by a formula's
 depth.
 
+Node layout: `Var` and `Const` are frozen dataclasses, while the compound
+nodes `Unary(op, child)` and `Binary(op, left, right)` are immutable tuple
+subclasses (`typing.NamedTuple`), so building one is a C-level
+`tuple.__new__`.  Their contract is the named fields, `==`, `!=`, `hash`
+and `repr`, which walk the DAG and never compare with a plain tuple or with
+another node type, and immutability; ordering (`<`) raises TypeError.  The
+tuple behaviours they inherit (`len`, iteration, indexing, unpacking, `+`)
+are not part of the contract, and the walkers read the named fields, which
+on CPython 3.11 is no slower than unpacking a tuple subclass.
+
 Variables are identifiers (letter, then letters/digits/underscore); `rho`
 and `sigma` are reserved for the constants, so `r` and `s` remain usable as
 variables.  Equivalence of formulas is semantic: identical value under
@@ -29,7 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from .algebra import Connective, Element, apply
 from .tables import FuncTable, packed_masks, points, projection_packed, unpack
@@ -73,9 +83,9 @@ class Const:
 def _fold(f: Formula, leaf: Callable, unary: Callable, binary: Callable):
     """Fold f bottom-up: leaf(node) values a Var or Const, unary(op, x) a
     Unary and binary(op, x, y) a Binary from its connective and operand
-    values.  A compound node stays on the explicit stack, as (node,), until
-    its operands are valued, so any depth is taken; each distinct node (by
-    identity) is valued once."""
+    values.  A compound node stays on the explicit stack, as the plain tuple
+    (node,), until its operands are valued, so any depth is taken; each
+    distinct node (by identity) is valued once."""
     memo = {}
     stack = [f]
     while stack:
@@ -119,9 +129,11 @@ def _dag_hash(f: Formula) -> int:
 
 def _dag_eq(f: Formula, g: object) -> bool:
     """Structural equality: each distinct shape of either side is numbered
-    once, in one dict, so the sides are equal iff their roots' numbers are."""
+    once, in one dict, so the sides are equal iff their roots' numbers are.
+    A node never equals a plain tuple, which would otherwise compare it
+    element by element."""
     if type(g) is not type(f):
-        return NotImplemented
+        return False if isinstance(g, tuple) else NotImplemented
     shapes: dict = {}
 
     def number(key) -> int:
@@ -138,23 +150,33 @@ def _dag_eq(f: Formula, g: object) -> bool:
     return shape(f) == shape(g)
 
 
+def _dag_ne(f: Formula, g: object) -> bool:
+    # without it, != would be tuple's, which compares field by field
+    equal = _dag_eq(f, g)
+    return equal if equal is NotImplemented else not equal
+
+
+def _unordered(f: Formula, g: object):
+    raise TypeError(f"formulas are not ordered: {type(f).__name__} and {type(g).__name__}")
+
+
 # equality, hashing and repr walk the DAG, so a tower of shared operands
-# costs its distinct nodes, not its tree
-@dataclass(frozen=True, eq=False, repr=False)
-class Unary:
+# costs its distinct nodes, not its tree; tuple's ordering is switched off
+class Unary(NamedTuple):
     op: Connective
     child: "Formula"
 
-    __repr__, __eq__, __hash__ = _dag_repr, _dag_eq, _dag_hash
+    __repr__, __eq__, __ne__, __hash__ = _dag_repr, _dag_eq, _dag_ne, _dag_hash
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Binary:
+class Binary(NamedTuple):
     op: Connective
     left: "Formula"
     right: "Formula"
 
-    __repr__, __eq__, __hash__ = _dag_repr, _dag_eq, _dag_hash
+    __repr__, __eq__, __ne__, __hash__ = _dag_repr, _dag_eq, _dag_ne, _dag_hash
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
 
 Formula = Union[Var, Const, Unary, Binary]

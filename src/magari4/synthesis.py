@@ -33,21 +33,23 @@ class NotRepresentable(ValueError):
 
 
 def _selector(alpha, value: Element, names, shared: dict) -> Formula:
-    # one dict per synthesize call, so each [](name <-> a) clause and each
-    # constant leaf is built once
+    # one dict per synthesize call, so each [](name <-> a) clause, each
+    # variable and each constant leaf is built once
     conj: Formula | None = None
     for key in zip(names, alpha):
         if key not in shared:
-            shared[key] = box_formula(iff_formula(Var(key[0]), _const(key[1], shared)))
+            var, const = _leaf(Var, key[0], shared), _leaf(Const, key[1], shared)
+            shared[key] = box_formula(iff_formula(var, const))
         clause = shared[key]
         conj = clause if conj is None else Binary(Connective.AND, conj, clause)
-    return Binary(Connective.AND, conj, _const(value, shared))
+    return Binary(Connective.AND, conj, _leaf(Const, value, shared))
 
 
-def _const(value: Element, shared: dict) -> Const:
-    if value not in shared:
-        shared[value] = Const(value)
-    return shared[value]
+def _leaf(kind: type, key: str | Element, shared: dict) -> Formula:
+    # a name (a str) never equals a value (an int) or a clause key (a tuple)
+    if key not in shared:
+        shared[key] = kind(key)
+    return shared[key]
 
 
 def default_var_names(arity: int) -> tuple[str, ...]:
@@ -65,7 +67,8 @@ def synthesize(
     enumeration order, so output is deterministic.  With simplify=True the
     selectors contributing a bare 0 are dropped (and the table equality is
     re-checked).  Tables of arity 0 are rejected: use a constant formula.
-    Tables breaking the delta pairing raise NotRepresentable.
+    Tables breaking the delta pairing raise NotRepresentable, and
+    var_names holding a name twice raise ValueError.
     """
     if f.arity == 0:
         raise ValueError("arity-0 table: use a constant formula directly")
@@ -79,6 +82,8 @@ def synthesize(
     names = tuple(var_names) if var_names is not None else default_var_names(f.arity)
     if len(names) != f.arity:
         raise ValueError(f"need {f.arity} variable name(s), got {len(names)}")
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate variable name in {list(names)}")
     selectors = list(zip(points(f.arity), f.entries))
     if simplify:
         kept = [(a, v) for a, v in selectors if v is not Element.ZERO]

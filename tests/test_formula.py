@@ -2,6 +2,7 @@
 tables (checked against the naive per-valuation evaluator), equivalence,
 and substitution laws."""
 
+import copy
 import time
 
 import pytest
@@ -376,6 +377,52 @@ def test_equality_and_hash_walk_the_dag():
     assert time.perf_counter() - start < 1.0
     assert parse(" & ".join(["p"] * 100_000)) == parse(" & ".join(["p"] * 100_000))
     assert parse("p & q") != parse("q & p")
+
+
+def test_not_equal_is_the_negation_of_equal_at_any_depth():
+    # separately built chains, far deeper than Python's recursion limit
+    a, b, c = _nest("p", 200_000), _nest("p", 200_000), _nest("q", 200_000)
+    assert (a != b) is False
+    assert (a != c) is True
+
+
+def test_a_node_never_equals_a_plain_tuple():
+    p = Var("p")
+    for node, fields in (
+        (Binary(Connective.AND, p, p), (Connective.AND, p, p)),
+        (Unary(Connective.NOT, p), (Connective.NOT, p)),
+    ):
+        assert node != fields and fields != node
+        assert not node == fields and not fields == node
+
+
+def test_formulas_are_not_ordered():
+    p, q = Var("p"), Var("q")
+    nodes = [Binary(Connective.AND, p, q), Binary(Connective.AND, p, q), Unary(Connective.NOT, p)]
+    for x in nodes:
+        for y in nodes + [p]:
+            with pytest.raises(TypeError):
+                x < y
+            with pytest.raises(TypeError):
+                y >= x
+    with pytest.raises(TypeError):
+        sorted(nodes)
+
+
+def test_node_fields_cannot_be_assigned():
+    p = Var("p")
+    binary, unary = Binary(Connective.AND, p, p), Unary(Connective.NOT, p)
+    for node, name in ((binary, "op"), (binary, "left"), (binary, "right"), (unary, "child")):
+        with pytest.raises(AttributeError):
+            setattr(node, name, Var("q"))
+    assert binary == Binary(Connective.AND, p, p) and unary.child is p
+
+
+def test_deepcopy_keeps_sharing_and_equality():
+    f = _tower("p", 20)
+    g = copy.deepcopy(f)
+    assert g is not f and g == f and hash(g) == hash(f)
+    assert len(distinct_nodes(g)) == len(distinct_nodes(f)) == 41
 
 
 @pytest.mark.parametrize(

@@ -159,9 +159,21 @@ def test_synthesize_builds_each_constant_leaf_once():
     nodes = distinct_nodes(synthesize(random_delta_preserving_table(2, make_rng(31))))
     consts = [node for node in nodes.values() if isinstance(node, Const)]
     assert len(consts) == 4 and {c.value for c in consts} == set(ELEMENTS)
-    # 16 selectors of 2 AND nodes, 15 ORs, 8 clauses of 5 compound nodes
-    # over their own Var, and the 4 constants
-    assert len(nodes) == 99
+    # 16 selectors of 2 AND nodes, 15 ORs, 8 clauses of 5 compound nodes,
+    # one Var per variable shared by its 4 clauses, and the 4 constants
+    assert len(nodes) == 93
+    variables = [node for node in nodes.values() if isinstance(node, Var)]
+    assert sorted(v.name for v in variables) == ["p1", "p2"]
+
+
+@pytest.mark.parametrize("simplify", [False, True])
+def test_synthesize_refuses_a_repeated_variable_name(simplify):
+    # over ("p", "p") the two inputs would be one, and the formula would
+    # realize another table (1:0r11 for this one)
+    table = FuncTable.from_text("2:0rs1rr11ss111111")
+    with pytest.raises(ValueError, match="duplicate variable name"):
+        synthesize(table, ("p", "p"), simplify=simplify)
+    assert truth_table(synthesize(table, ("p", "q"), simplify=simplify), ("p", "q")) == table
 
 
 def test_simplify_preserves_table():
