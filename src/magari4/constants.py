@@ -116,24 +116,35 @@ class TermApply:
 Term = Union[TermVar, TermApply]
 
 
-def _dag_fold(term: Term, leaf: Callable, apply: Callable):
+def _dag_fold(term: Term, leaf: Callable, apply: Callable, _known: dict | None = None):
     """Fold the term DAG bottom-up: leaf(var) values a variable and
     apply(node, values) an application from its argument values.  Each
     distinct node (by identity) is valued once, and the explicit stack
-    takes any depth."""
+    takes any depth.  _known maps id(node) to (node, value) for the
+    applications valued by earlier folds with the same callbacks: the fold
+    takes such a value without descending below its node, and records each
+    application it values.  An entry holds its node, so its id is not
+    reused while it lives, and the identity check covers a copied dict."""
     memo = {}
     stack = [term]
     while stack:
         node = stack.pop()
         if type(node) is tuple:  # (node,) is popped after its arguments
             (node,) = node
-            memo[id(node)] = apply(node, [memo[id(a)] for a in node.args])
+            value = memo[id(node)] = apply(node, [memo[id(a)] for a in node.args])
+            if _known is not None:
+                _known[id(node)] = (node, value)
         elif id(node) not in memo:
             if isinstance(node, TermVar):
                 memo[id(node)] = leaf(node)
-            else:
-                stack.append((node,))
-                stack += node.args
+                continue
+            if _known is not None:
+                hit = _known.get(id(node))
+                if hit is not None and hit[0] is node:
+                    memo[id(node)] = hit[1]
+                    continue
+            stack.append((node,))
+            stack += node.args
     return memo[id(term)]
 
 
@@ -156,7 +167,24 @@ def term_text(term: Term) -> str:
 def term_table(
     term: Term, var_order: Sequence[str], tables: Mapping[str, FuncTable]
 ) -> FuncTable:
+    """Tabulate term over all valuations of var_order, first variable most
+    significant, composing the members' tables.
+
+    var_order must cover every variable of term and contain no duplicates,
+    and tables must name every member term applies."""
     var_order = tuple(var_order)
+    return unpack(_packed(term, var_order, tables), len(var_order))
+
+
+def _packed(
+    term: Term, var_order: tuple[str, ...], tables: Mapping[str, FuncTable],
+    known: dict | None = None,
+) -> int:
+    """term_table's packed table; known holds the packed tables of term
+    nodes already tabulated over the same var_order and tables (see
+    _dag_fold)."""
+    if len(set(var_order)) != len(var_order):
+        raise ValueError("duplicate variable in var_order")
     n = len(var_order)
     env = {name: projection_packed(n, i) for i, name in enumerate(var_order)}
 
@@ -166,7 +194,16 @@ def term_table(
             raise ValueError(f"{node.label} expects {table.arity} argument(s)")
         return int.from_bytes(compose_lanes(bytes(table.entries), args, 4**n), "little")
 
-    return unpack(_dag_fold(term, lambda v: env[v.name], compose), n)
+    try:
+        return _dag_fold(term, lambda v: env[v.name], compose, known)
+    except KeyError:  # a variable outside var_order or an unknown member
+        names: set[str] = set()
+        labels: set[str] = set()
+        _dag_fold(term, lambda v: names.add(v.name), lambda node, _: labels.add(node.label))
+        missing, unknown = sorted(names - set(var_order)), sorted(labels - set(tables))
+        problems = [f"var_order misses term variable(s): {missing}"] if missing else []
+        problems += [f"no table for member(s): {unknown}"] if unknown else []
+        raise ValueError("; ".join(problems)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +231,12 @@ class TwelveSystem:
     and witness here, once; the engine relies on that."""
 
     members: tuple[SystemMember, ...]
-    # id(term node) -> (node, formula), filled by Derivation.expand; not
-    # part of the value, and dataclasses.replace starts a new one empty
+    # id(term node) -> (node, formula), filled by Derivation.expand, and
+    # id(term node) -> (node, packed table over p), filled by the engine's
+    # checks; not part of the value, and dataclasses.replace starts new
+    # ones empty
     _expansions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _tabulated: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.members) != 12:
@@ -329,28 +369,24 @@ class Derivation:
         clauses) shared, so the result is compact in memory even when its
         printed text is not.
         """
-        expansions = self.system._expansions
         members = self.system._members_by_label
 
         def substitute(node: TermApply, args: list[Formula]) -> Formula:
-            # an entry holds its node, so its id is not reused while it
-            # lives; the identity check covers a copied system's entries
-            hit = expansions.get(id(node))
-            if hit is not None and hit[0] is node:
-                return hit[1]
             member = members[node.label]
-            formula = substitute_all(member.formula, dict(zip(member.var_order, args)))
-            expansions[id(node)] = (node, formula)
-            return formula
+            return substitute_all(member.formula, dict(zip(member.var_order, args)))
 
-        return _dag_fold(self.term, lambda v: Var(v.name), substitute)
+        return _dag_fold(
+            self.term, lambda v: Var(v.name), substitute, self.system._expansions
+        )
 
     def is_constant(self) -> bool:
         return len(set(self.realized.entries)) == 1
 
 
 def _tabulate(term: Term, system: TwelveSystem) -> FuncTable:
-    return term_table(term, ("p",), system.tables())
+    """term_table over p alone, reusing the system's tables of the term
+    nodes tabulated against it."""
+    return unpack(_packed(term, ("p",), system.tables(), system._tabulated), 1)
 
 
 def _check(cond: bool, trace: list[TraceStep], step: str, claim: str) -> None:

@@ -23,10 +23,14 @@ nodes `Unary(op, child)` and `Binary(op, left, right)` are immutable tuple
 subclasses (`typing.NamedTuple`), so building one is a C-level
 `tuple.__new__`.  Their contract is the named fields, `==`, `!=`, `hash`
 and `repr`, which walk the DAG and never compare with a plain tuple or with
-another node type, and immutability; ordering (`<`) raises TypeError.  The
-tuple behaviours they inherit (`len`, iteration, indexing, unpacking, `+`)
-are not part of the contract, and the walkers read the named fields, which
-on CPython 3.11 is no slower than unpacking a tuple subclass.
+another node type, immutability, and `copy.deepcopy` and `pickle`, which
+go through a flat list of the distinct nodes; ordering (`<`) raises
+TypeError.  The tuple behaviours they inherit (`len`, iteration, indexing,
+unpacking, `+`) are not part of the contract.  The walkers read the named
+fields, which on CPython 3.11 is no slower than unpacking a tuple subclass
+but is not specialised either; so the one fold reads a node's fields once
+on the visit that values it, and revisits only a node whose compound
+operands were still waiting.
 
 Variables are identifiers (letter, then letters/digits/underscore); `rho`
 and `sigma` are reserved for the constants, so `r` and `s` remain usable as
@@ -80,29 +84,60 @@ class Const:
     value: Element
 
 
+_WAITING = object()  # the memo's answer for an operand not valued yet
+
+
 def _fold(f: Formula, leaf: Callable, unary: Callable, binary: Callable):
     """Fold f bottom-up: leaf(node) values a Var or Const, unary(op, x) a
     Unary and binary(op, x, y) a Binary from its connective and operand
-    values.  A compound node stays on the explicit stack, as the plain tuple
-    (node,), until its operands are valued, so any depth is taken; each
-    distinct node (by identity) is valued once."""
+    values.
+
+    A compound node is valued on the visit that finds its operands valued.
+    Otherwise it goes back on the explicit stack, under its waiting compound
+    operands, and the walk goes on into the leftmost of them; so any depth
+    is taken.  A leaf operand is valued where it is met, unless an operand
+    to its left is still waiting, so leaves are valued left to right.  Each
+    distinct node (by identity) is valued once, also when it sits on the
+    stack twice."""
     memo = {}
+    get = memo.get
     stack = [f]
+    push = stack.append
     while stack:
         node = stack.pop()
-        if type(node) is tuple:
-            (node,) = node
+        while id(node) not in memo:
             if type(node) is Binary:
-                memo[id(node)] = binary(node.op, memo[id(node.left)], memo[id(node.right)])
-            else:
-                memo[id(node)] = unary(node.op, memo[id(node.child)])
-        elif id(node) not in memo:
-            if type(node) is Binary:
-                stack += ((node,), node.right, node.left)  # left is valued first
+                left, right = node.left, node.right
+                x = get(id(left), _WAITING)
+                if x is _WAITING:
+                    if type(left) is Binary or type(left) is Unary:
+                        push(node)
+                        if id(right) not in memo and (type(right) is Binary or type(right) is Unary):
+                            push(right)
+                        node = left
+                        continue
+                    x = memo[id(left)] = leaf(left)
+                y = get(id(right), _WAITING)
+                if y is _WAITING:
+                    if type(right) is Binary or type(right) is Unary:
+                        push(node)
+                        node = right
+                        continue
+                    y = memo[id(right)] = leaf(right)
+                memo[id(node)] = binary(node.op, x, y)
             elif type(node) is Unary:
-                stack += ((node,), node.child)
+                child = node.child
+                x = get(id(child), _WAITING)
+                if x is _WAITING:
+                    if type(child) is Binary or type(child) is Unary:
+                        push(node)
+                        node = child
+                        continue
+                    x = memo[id(child)] = leaf(child)
+                memo[id(node)] = unary(node.op, x)
             else:
                 memo[id(node)] = leaf(node)
+            break
     return memo[id(f)]
 
 
@@ -160,13 +195,57 @@ def _unordered(f: Formula, g: object):
     raise TypeError(f"formulas are not ordered: {type(f).__name__} and {type(g).__name__}")
 
 
-# equality, hashing and repr walk the DAG, so a tower of shared operands
-# costs its distinct nodes, not its tree; tuple's ordering is switched off
+def _flatten(f: Formula) -> list:
+    """The distinct nodes of f in post-order, root last: a variable as its
+    name, a constant as its value, a compound node as its connective and
+    its operands' positions."""
+    nodes: list = []
+
+    def add(entry) -> int:
+        nodes.append(entry)
+        return len(nodes) - 1
+
+    _fold(
+        f,
+        lambda node: add(node.name if type(node) is Var else node.value),
+        lambda op, x: add((op, x)),
+        lambda op, x, y: add((op, x, y)),
+    )
+    return nodes
+
+
+def _rebuild(nodes: list) -> Formula:
+    """New nodes from _flatten's list, one per entry, so sharing survives."""
+    built: list[Formula] = []
+    for entry in nodes:
+        if type(entry) is str:
+            built.append(Var(entry))
+        elif type(entry) is not tuple:
+            built.append(Const(entry))
+        elif len(entry) == 2:
+            built.append(Unary(entry[0], built[entry[1]]))
+        else:
+            built.append(Binary(entry[0], built[entry[1]], built[entry[2]]))
+    return built[-1]
+
+
+def _dag_deepcopy(f: Formula, memo: dict) -> Formula:
+    return _rebuild(_flatten(f))
+
+
+def _dag_reduce(f: Formula):
+    return _rebuild, (_flatten(f),)
+
+
+# equality, hashing, repr, deep copies and pickles walk the DAG, so a tower
+# of shared operands costs its distinct nodes, not its tree, and any depth
+# is taken; tuple's ordering is switched off
 class Unary(NamedTuple):
     op: Connective
     child: "Formula"
 
     __repr__, __eq__, __ne__, __hash__ = _dag_repr, _dag_eq, _dag_ne, _dag_hash
+    __deepcopy__, __reduce__ = _dag_deepcopy, _dag_reduce
     __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
 
@@ -176,6 +255,7 @@ class Binary(NamedTuple):
     right: "Formula"
 
     __repr__, __eq__, __ne__, __hash__ = _dag_repr, _dag_eq, _dag_ne, _dag_hash
+    __deepcopy__, __reduce__ = _dag_deepcopy, _dag_reduce
     __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
 

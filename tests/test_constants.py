@@ -316,6 +316,92 @@ def test_copied_system_expands_its_own_terms():
         assert truth_table(expanded, ("p",)) == realized
 
 
+def test_one_composition_per_distinct_tabulated_node(monkeypatch):
+    # the engine's checks tabulate each one-variable term against the
+    # system, which keeps every node's table; so a node shared by several
+    # checked terms is composed once.  Lemma 3's two-variable tables are
+    # not kept: each term_table call composes its own distinct nodes
+    compositions, one_var, two_var = [], [], []
+    run_lanes, tabulate, table = constants.compose_lanes, constants._tabulate, term_table
+
+    def counting_lanes(*args):
+        compositions.append(args)
+        return run_lanes(*args)
+
+    def counting_tabulate(term, sysm):
+        one_var.append(term)
+        return tabulate(term, sysm)
+
+    def counting_table(term, *args):
+        two_var.append(term)
+        return table(term, *args)
+
+    monkeypatch.setattr(constants, "compose_lanes", counting_lanes)
+    monkeypatch.setattr(constants, "_tabulate", counting_tabulate)
+    monkeypatch.setattr(constants, "term_table", counting_table)
+    rng = make_rng(37)
+    for _ in range(20):
+        sysm = TwelveSystem.from_tables(random_twelve_tables(rng))
+        for calls in (compositions, one_var, two_var):
+            calls.clear()
+        derive_all_constants(sysm)
+        assert len(compositions) == len(apply_nodes(one_var)) + sum(
+            len(apply_nodes([t])) for t in two_var
+        )
+
+
+def test_tabulated_tables_survive_reused_ids():
+    # as test_expansions_survive_reused_ids, for the system's term tables
+    sysm = canned_system()
+    tables = sysm.tables()
+    rng = make_rng(38)
+    for _ in range(3000):
+        term = random_two_level_term(rng, tables)
+        assert constants._tabulate(term, sysm) == term_table(term, ("p",), tables)
+
+
+def test_copied_and_replaced_systems_tabulate_their_own_terms():
+    # a deep copy's entries hold copies of the nodes under the originals'
+    # ids, and dataclasses.replace starts with no entries, so neither ever
+    # serves another system's table
+    canned = canned_system()
+    tables = canned.tables()
+    rng = make_rng(39)
+    for _ in range(300):
+        original = canned_system()
+        term = random_two_level_term(rng, tables)
+        constants._tabulate(term, original)
+        copied = copy.deepcopy(original)
+        del original, term
+        term = random_two_level_term(rng, tables)
+        assert constants._tabulate(term, copied) == term_table(term, ("p",), tables)
+    other = system(F2="~ # p")
+    terms = [random_two_level_term(rng, tables) for _ in range(100)]
+    for term in terms:
+        constants._tabulate(term, canned)
+    moved = dataclasses.replace(canned, members=other.members)
+    differ = 0
+    for term in terms:
+        want = term_table(term, ("p",), other.tables())
+        assert constants._tabulate(term, moved) == want
+        differ += want != constants._tabulate(term, canned)
+    assert differ > 0
+
+
+def test_system_with_a_deep_member_deep_copies():
+    # F2 = ~p under 100,000 more negations, far deeper than Python's
+    # recursion limit
+    sysm = system(F2="~" * 100_000 + "~p")
+    try:
+        copied = copy.deepcopy(sysm)
+    except RecursionError:
+        # raised afresh: a report of the recursing frames would print the
+        # member in each of them
+        raise AssertionError("copying recursed once per level") from None
+    assert copied == sysm and copied.member(2).formula is not sysm.member(2).formula
+    assert copied.member(2).formula == sysm.member(2).formula
+
+
 def random_two_level_term(rng, tables) -> TermApply:
     inner, outer = rng.choice(sorted(tables)), rng.choice(sorted(tables))
     term = TermApply(inner, (TermVar("p"),) * tables[inner].arity)
@@ -730,6 +816,34 @@ def test_term_table_rejects_wrong_argument_count():
     tables = canned_system().tables()
     term = TermApply("F1", (TermVar("p"),) * (tables["F1"].arity + 1))
     with pytest.raises(ValueError):
+        term_table(term, ("p",), tables)
+
+
+def test_term_table_refuses_a_repeated_variable_name():
+    # F1[p] over (p, p) would otherwise read as a two-variable table
+    tables = {"F1": FuncTable.from_text("1:0s1r")}
+    term = TermApply("F1", (TermVar("p"),))
+    with pytest.raises(ValueError, match="duplicate variable"):
+        term_table(term, ("p", "p"), tables)
+
+
+def test_term_table_names_a_variable_outside_var_order():
+    tables = {"F1": FuncTable.from_text("2:0s1r0s1r0s1r0s1r")}
+    term = TermApply("F1", (TermVar("p"), TermVar("q")))
+    with pytest.raises(ValueError, match=r"misses term variable\(s\): \['q'\]"):
+        term_table(term, ("p",), tables)
+
+
+def test_term_table_names_the_variables_of_an_empty_var_order():
+    tables = {"F1": FuncTable.from_text("1:0s1r")}
+    with pytest.raises(ValueError, match=r"misses term variable\(s\): \['p'\]"):
+        term_table(TermApply("F1", (TermVar("p"),)), (), tables)
+
+
+def test_term_table_names_an_unknown_member():
+    tables = {"F1": FuncTable.from_text("1:0s1r")}
+    term = TermApply("F1", (TermApply("F9", (TermVar("p"),)),))
+    with pytest.raises(ValueError, match=r"no table for member\(s\): \['F9'\]"):
         term_table(term, ("p",), tables)
 
 

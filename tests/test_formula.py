@@ -3,6 +3,7 @@ tables (checked against the naive per-valuation evaluator), equivalence,
 and substitution laws."""
 
 import copy
+import pickle
 import time
 
 import pytest
@@ -423,6 +424,113 @@ def test_deepcopy_keeps_sharing_and_equality():
     g = copy.deepcopy(f)
     assert g is not f and g == f and hash(g) == hash(f)
     assert len(distinct_nodes(g)) == len(distinct_nodes(f)) == 41
+
+
+def _chain(depth: int, left_leaning: bool, names=("p", "q")):
+    # link i joins the chain so far to one of two shared leaves, by & or |;
+    # so leaves and connectives repeat every 6 links
+    leaves = [Var(name) for name in names]
+    f = leaves[0]
+    for i in range(depth):
+        op, leaf = Connective.OR if i % 3 else Connective.AND, leaves[i % 2]
+        f = Binary(op, f, leaf) if left_leaning else Binary(op, leaf, f)
+    return f
+
+
+@pytest.mark.parametrize("left_leaning", [True, False], ids=["left", "right"])
+def test_deep_chains_go_through_every_fold(left_leaning):
+    # far deeper than Python's recursion limit.  Every 6 links apply one
+    # fixed map to each entry, and a map of four elements repeats with a
+    # period of 1 to 4 after at most 3 steps; 200,000 - 56 is a multiple of
+    # 6 * 12, so the chain has the table of its first 56 links
+    f = _chain(200_000, left_leaning)
+    table = truth_table(f, ("p", "q"))
+    assert table == truth_table(_chain(56, left_leaning), ("p", "q"))
+    swapped = substitute_all(f, {"p": Var("q"), "q": Var("p")})
+    assert truth_table(swapped, ("q", "p")) == table
+    built = _chain(200_000, left_leaning, ("q", "p"))
+    assert swapped == built and hash(swapped) == hash(built)
+
+
+def test_deep_chains_survive_deepcopy_and_pickle():
+    f = _chain(200_000, True)
+    try:
+        copies = copy.deepcopy(f), pickle.loads(pickle.dumps(f))
+    except RecursionError:
+        # raised afresh: a report of the recursing frames would print the
+        # chain in each of them
+        raise AssertionError("copying recursed once per level") from None
+    for g in copies:
+        assert g is not f and g == f
+
+
+def test_unpickled_tower_keeps_its_sharing():
+    f = parse("[]" * 40 + "(p -> sigma)")
+    g = pickle.loads(pickle.dumps(f))
+    # p, sigma, p -> sigma, and two nodes per []
+    assert g == f and len(distinct_nodes(g)) == len(distinct_nodes(f)) == 83
+
+
+def _counting_callbacks(calls: list):
+    return (
+        lambda node: calls.append(node) or 0,
+        lambda op, x: calls.append(op) or 0,
+        lambda op, x, y: calls.append(op) or 0,
+    )
+
+
+def test_fold_values_a_node_met_twice_once():
+    # c is an operand of P and, under L, of P's other operand; a fold that
+    # pushed c twice and valued it on each visit would count it twice
+    p, e = Var("p"), Var("e")
+    c = Unary(Connective.NOT, p)
+    L = Binary(Connective.AND, c, e)
+    P = Binary(Connective.OR, L, c)
+    calls: list = []
+    formula._fold(P, *_counting_callbacks(calls))
+    assert len(calls) == len(distinct_nodes(P)) == 5
+    for f in (_tower("p", 12), parse(" <-> ".join(["p", "q"] * 6))):
+        calls.clear()
+        formula._fold(f, *_counting_callbacks(calls))
+        assert len(calls) == len(distinct_nodes(f))
+
+
+def test_evaluate_names_the_leftmost_unbound_variable():
+    with pytest.raises(EvaluationError, match="'q'"):
+        evaluate(parse("~q & p"), {})
+    with pytest.raises(EvaluationError, match="'u'"):
+        evaluate(parse("(u | #v) -> (v & w)"), {})
+
+
+def _reference_leaf_order(f) -> list:
+    """The leaves of f in the order a recursive, memoized fold values them."""
+    seen, order = set(), []
+
+    def visit(node):
+        if id(node) in seen:
+            return
+        seen.add(id(node))
+        if isinstance(node, Binary):
+            visit(node.left)
+            visit(node.right)
+        elif isinstance(node, Unary):
+            visit(node.child)
+        else:
+            order.append(node)
+
+    visit(f)
+    return order
+
+
+def test_fold_values_leaves_left_to_right():
+    rng = make_rng(44)
+    names = ("p", "q", "u", "v")
+    for _ in range(200):
+        f = parse(format_formula(random_formula(rng, names, 6)))
+        for g in (f, substitute_all(f, {"p": parse("[]q <-> p")})):
+            leaves: list = []
+            formula._fold(g, leaves.append, lambda op, x: 0, lambda op, x, y: 0)
+            assert [id(x) for x in leaves] == [id(x) for x in _reference_leaf_order(g)]
 
 
 @pytest.mark.parametrize(
