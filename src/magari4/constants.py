@@ -84,6 +84,8 @@ class TermApply:
     def __eq__(self, other: object) -> bool:
         """Each distinct shape of either side is numbered once, in one dict,
         so the sides are equal iff their roots' numbers are."""
+        if other is self:
+            return True
         if type(other) is not TermApply:
             return NotImplemented
         shapes: dict = {}

@@ -22,15 +22,26 @@ Node layout: `Var` and `Const` are frozen dataclasses, while the compound
 nodes `Unary(op, child)` and `Binary(op, left, right)` are immutable tuple
 subclasses (`typing.NamedTuple`), so building one is a C-level
 `tuple.__new__`.  Their contract is the named fields, `==`, `!=`, `hash`
-and `repr`, which walk the DAG and never compare with a plain tuple or with
-another node type, immutability, and `copy.deepcopy` and `pickle`, which
-go through a flat list of the distinct nodes; ordering (`<`) raises
+and `repr`, which walk the DAG (a node compared with itself is equal at
+once) and never compare with a plain tuple or with another node type,
+immutability, and `copy.deepcopy` and `pickle`, which go through a flat
+list of the distinct nodes; ordering (`<`) raises
 TypeError.  The tuple behaviours they inherit (`len`, iteration, indexing,
 unpacking, `+`) are not part of the contract.  The walkers read the named
 fields, which on CPython 3.11 is no slower than unpacking a tuple subclass
 but is not specialised either; so the one fold reads a node's fields once
 on the visit that values it, and revisits only a node whose compound
 operands were still waiting.
+
+`truth_table` keeps one private slot: the var_order, root and memo of its
+last successful call.  The next call over the same var_order takes the
+table of each compound node found there instead of walking below it, so
+a node that the previous call valued is not valued again; the four
+expanded constants of one system, tabulated in turn, share most of their
+nodes.  Holding the root keeps the last tabulated formula, and the tables
+of its nodes, alive until the next successful call replaces the slot.
+`synthesize`'s re-check goes through `_tabulate`, the same walk without
+the slot.
 
 Variables are identifiers (letter, then letters/digits/underscore); `rho`
 and `sigma` are reserved for the constants, so `r` and `s` remain usable as
@@ -85,9 +96,13 @@ class Const:
 
 
 _WAITING = object()  # the memo's answer for an operand not valued yet
+_NOTHING: dict = {}  # known values of a fold that has none; never written
 
 
-def _fold(f: Formula, leaf: Callable, unary: Callable, binary: Callable):
+def _fold(
+    f: Formula, leaf: Callable, unary: Callable, binary: Callable,
+    known: Mapping = _NOTHING, memo: dict | None = None,
+):
     """Fold f bottom-up: leaf(node) values a Var or Const, unary(op, x) a
     Unary and binary(op, x, y) a Binary from its connective and operand
     values.
@@ -98,45 +113,66 @@ def _fold(f: Formula, leaf: Callable, unary: Callable, binary: Callable):
     is taken.  A leaf operand is valued where it is met, unless an operand
     to its left is still waiting, so leaves are valued left to right.  Each
     distinct node (by identity) is valued once, also when it sits on the
-    stack twice."""
-    memo = {}
+    stack twice.
+
+    known maps id(node) to a value that an earlier fold with the same
+    callbacks gave, and the caller keeps those nodes alive, so no id in it
+    names another node.  A compound operand found there takes that value
+    and is not descended into.  known is read only where the fold would
+    otherwise descend, so a miss costs one lookup per compound node, and it
+    is never written.  memo, if given, is the dict the fold fills: id(node)
+    to value, for each node it valued or took from known.  i, j and k hold
+    the ids of a node and of its left (or only) and right operands, each
+    taken once per visit."""
+    memo = {} if memo is None else memo
     get = memo.get
     stack = [f]
     push = stack.append
     while stack:
         node = stack.pop()
-        while id(node) not in memo:
+        while (i := id(node)) not in memo:
             if type(node) is Binary:
                 left, right = node.left, node.right
-                x = get(id(left), _WAITING)
+                x = get(j := id(left), _WAITING)
                 if x is _WAITING:
                     if type(left) is Binary or type(left) is Unary:
-                        push(node)
-                        if id(right) not in memo and (type(right) is Binary or type(right) is Unary):
-                            push(right)
-                        node = left
-                        continue
-                    x = memo[id(left)] = leaf(left)
-                y = get(id(right), _WAITING)
+                        if j not in known:
+                            push(node)
+                            k = id(right)
+                            if (k not in memo and (type(right) is Binary or type(right) is Unary)
+                                    and k not in known):
+                                push(right)
+                            node = left
+                            continue
+                        x = memo[j] = known[j]
+                    else:
+                        x = memo[j] = leaf(left)
+                y = get(k := id(right), _WAITING)
                 if y is _WAITING:
                     if type(right) is Binary or type(right) is Unary:
-                        push(node)
-                        node = right
-                        continue
-                    y = memo[id(right)] = leaf(right)
-                memo[id(node)] = binary(node.op, x, y)
+                        if k not in known:
+                            push(node)
+                            node = right
+                            continue
+                        y = memo[k] = known[k]
+                    else:
+                        y = memo[k] = leaf(right)
+                memo[i] = binary(node.op, x, y)
             elif type(node) is Unary:
                 child = node.child
-                x = get(id(child), _WAITING)
+                x = get(j := id(child), _WAITING)
                 if x is _WAITING:
                     if type(child) is Binary or type(child) is Unary:
-                        push(node)
-                        node = child
-                        continue
-                    x = memo[id(child)] = leaf(child)
-                memo[id(node)] = unary(node.op, x)
+                        if j not in known:
+                            push(node)
+                            node = child
+                            continue
+                        x = memo[j] = known[j]
+                    else:
+                        x = memo[j] = leaf(child)
+                memo[i] = unary(node.op, x)
             else:
-                memo[id(node)] = leaf(node)
+                memo[i] = leaf(node)
             break
     return memo[id(f)]
 
@@ -167,6 +203,8 @@ def _dag_eq(f: Formula, g: object) -> bool:
     once, in one dict, so the sides are equal iff their roots' numbers are.
     A node never equals a plain tuple, which would otherwise compare it
     element by element."""
+    if g is f:
+        return True
     if type(g) is not type(f):
         return False if isinstance(g, tuple) else NotImplemented
     shapes: dict = {}
@@ -447,18 +485,43 @@ def free_vars(f: Formula) -> frozenset[str]:
 MAX_TABLE_VARS = 8
 
 
-# The truth table of a formula is computed in one fold over packed tables
-# (see tables.pack): entry k occupies the low two bits of byte k, so the
-# boolean connectives are single bitwise operations on the whole table and
-# delta is a shift plus two masks.
+# (var_order, root, memo) of the last successful truth_table call.  Holding
+# the root keeps alive every node the memo names, so none of its ids is
+# reused while it is here; the tuple is replaced whole and its memo is never
+# written again, so a concurrent call reads a complete memo.
+_last: tuple = ((), None, _NOTHING)
+
+
 def truth_table(f: Formula, var_order: Sequence[str]) -> FuncTable:
     """Tabulate f over all valuations of var_order, first variable most
     significant.
 
     var_order must cover every free variable of f, contain no duplicates
     and hold at most MAX_TABLE_VARS variables.
+
+    A call over the same var_order as the last successful call takes the
+    table of each compound node that call valued instead of walking below
+    it.  So the last tabulated formula and its nodes' tables stay alive
+    until the next successful call replaces them.
     """
+    global _last
     var_order = tuple(var_order)
+    last = _last  # held for the call, so its root outlives a replacement
+    memo: dict = {}
+    table = _tabulate(f, var_order, last[2] if last[0] == var_order else _NOTHING, memo)
+    _last = (var_order, f, memo)
+    return table
+
+
+# The truth table of a formula is computed in one fold over packed tables
+# (see tables.pack): entry k occupies the low two bits of byte k, so the
+# boolean connectives are single bitwise operations on the whole table and
+# delta is a shift plus two masks.
+def _tabulate(
+    f: Formula, var_order: tuple[str, ...], known: Mapping = _NOTHING, memo: dict | None = None
+) -> FuncTable:
+    """truth_table without reading or replacing its last call's memo;
+    known and memo go to _fold."""
     if len(set(var_order)) != len(var_order):
         raise ValueError("duplicate variable in var_order")
     n = len(var_order)
@@ -474,6 +537,8 @@ def truth_table(f: Formula, var_order: Sequence[str]) -> FuncTable:
             lambda node: env[node.name] if type(node) is Var else lo * node.value,
             lambda op, x: x ^ ones if op is _NOT else hi | ((x >> 1) & lo),
             lambda op, x, y: x & y if op is _AND else x | y if op is _OR else (x ^ ones) | y,
+            known,
+            memo,
         ), n)
     except KeyError:  # a variable outside var_order; name every one of them
         missing = sorted(free_vars(f) - set(var_order))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 
 from .algebra import Connective, Element
-from .formula import Binary, Const, Formula, Var, box_formula, iff_formula, truth_table
+from .formula import Binary, Const, Formula, Var, _tabulate, box_formula, iff_formula
 from .preservation import (
     column_text,
     delta_pairing_relation,
@@ -88,7 +88,9 @@ def synthesize(
     if simplify:
         kept = [(a, v) for a, v in selectors if v is not Element.ZERO]
         result = _join_all(kept, names) if kept else Const(Element.ZERO)
-        if truth_table(result, names) != f:
+        # a formula just built shares no node with an earlier tabulation, so
+        # the re-check leaves truth_table's last memo in place
+        if _tabulate(result, names) != f:
             raise RuntimeError("simplification changed the realized table")
         return result
     return _join_all(selectors, names)

@@ -7,6 +7,7 @@ import itertools
 import os
 import random
 
+from magari4 import formula
 from magari4.algebra import ELEMENTS, Connective, Element
 from magari4.formula import Binary, Const, Formula, Unary, Var
 from magari4.selftest import CANNED_FORMULAS
@@ -69,6 +70,36 @@ def distinct_nodes(f: Formula) -> dict[int, Formula]:
         elif isinstance(node, Binary):
             stack.extend((node.left, node.right))
     return seen
+
+
+def compound_nodes_valued(call, *args):
+    """(call(*args), the number of compound nodes formula._fold valued
+    during it), counted by wrapping the fold's unary and binary callbacks;
+    a node whose value a fold took from elsewhere is not counted."""
+    valued = [0]
+    fold = formula._fold
+
+    def counting(f, leaf, unary, binary, *rest):
+        def count_unary(op, x):
+            valued[0] += 1
+            return unary(op, x)
+
+        def count_binary(op, x, y):
+            valued[0] += 1
+            return binary(op, x, y)
+
+        return fold(f, leaf, count_unary, count_binary, *rest)
+
+    formula._fold = counting
+    try:
+        return call(*args), valued[0]
+    finally:
+        formula._fold = fold
+
+
+def compound_nodes(f: Formula) -> int:
+    """The distinct Unary and Binary node objects of f."""
+    return sum(type(node) in (Unary, Binary) for node in distinct_nodes(f).values())
 
 
 def canned_with(**overrides: str) -> dict[int, str]:

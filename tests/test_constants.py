@@ -15,7 +15,13 @@ import time
 
 import pytest
 
-from conftest import canned_with, distinct_nodes, make_rng
+from conftest import (
+    canned_with,
+    compound_nodes,
+    compound_nodes_valued,
+    distinct_nodes,
+    make_rng,
+)
 from magari4 import constants, selftest
 from magari4.algebra import ELEMENTS
 from magari4.closure import expressible_constants
@@ -921,6 +927,61 @@ def test_deep_expansions_tabulate(monkeypatch):
     system = TwelveSystem.from_tables(random_twelve_tables(rng))
     for derivation in derive_all_constants(system).values():
         assert truth_table(derivation.expand(), ("p",)) == derivation.realized
+
+
+def test_four_expansions_tabulate_their_shared_nodes_once():
+    # lemma 5 builds the four constants from one low constant, so their
+    # expansions share most of their nodes; tabulated in turn over ("p",),
+    # each takes the tables of the nodes the previous call valued
+    rng = make_rng(44)
+    systems = [canned_system()]
+    systems += [TwelveSystem.from_tables(random_twelve_tables(rng)) for _ in range(4)]
+    valued = summed = 0
+    for sysm in systems:
+        derived = derive_all_constants(sysm)
+        truth_table(Var("p"), ("p",))  # a last call that shares no node
+        for value in ELEMENTS:
+            f = derived[value].expand()
+            table, count = compound_nodes_valued(truth_table, f, ("p",))
+            assert table == constant_table(value, 1)
+            valued, summed = valued + count, summed + compound_nodes(f)
+    assert valued <= summed / 2
+
+
+def test_a_synthesize_check_between_tabulations_keeps_the_reuse():
+    # synthesize's simplify re-check tabulates a formula it has just built;
+    # it neither reads nor replaces the memo the next tabulation reuses,
+    # also when it tabulates over the same var_order
+    sysm = TwelveSystem.from_tables(random_twelve_tables(make_rng(45)))
+    derived = derive_all_constants(sysm)
+    expansions = [derived[value].expand() for value in ELEMENTS]
+    negation = truth_table(parse("~p"), ("p",))
+    implication = truth_table(parse("p1 -> p2"), ("p1", "p2"))
+
+    def second_of_two(first, second, between) -> int:
+        truth_table(Var("p"), ("p",))
+        truth_table(first, ("p",))
+        between()
+        return compound_nodes_valued(truth_table, second, ("p",))[1]
+
+    def synthesize_both():
+        synthesize(negation, ("p",), simplify=True)
+        synthesize(implication, simplify=True)
+
+    for first, second in zip(expansions, expansions[1:]):
+        plain = second_of_two(first, second, lambda: None)
+        assert second_of_two(first, second, synthesize_both) == plain
+        assert plain < compound_nodes(second)
+
+
+def test_a_term_equals_itself_without_a_walk(monkeypatch):
+    deep = chain(200_000, "p")
+
+    def no_fold(*args):
+        raise AssertionError("== walked a term compared with itself")
+
+    monkeypatch.setattr(constants, "_dag_fold", no_fold)
+    assert deep == deep and not deep != deep
 
 
 def test_real_formula_membership_of_overridden_entries():

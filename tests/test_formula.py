@@ -4,11 +4,20 @@ and substitution laws."""
 
 import copy
 import pickle
+import sys
+import threading
 import time
 
 import pytest
 
-from conftest import all_valuations, compose_pointwise, distinct_nodes, make_rng, random_formula
+from conftest import (
+    BINARY_OPS,
+    all_valuations,
+    compose_pointwise,
+    distinct_nodes,
+    make_rng,
+    random_formula,
+)
 from magari4 import formula
 from magari4.algebra import ELEMENTS, Connective, apply, delta
 from magari4.formula import (
@@ -249,6 +258,80 @@ def test_truth_table_matches_naive_evaluation():
         assert table.entries == naive
 
 
+def _reference_table(f, names) -> tuple:
+    return tuple(evaluate(f, v) for v in all_valuations(names))
+
+
+def _sharing_formulas(rng, names, count: int) -> list:
+    # each formula joins two earlier subformulas and joins the pool itself,
+    # so consecutive formulas share operands
+    pool = [random_formula(rng, names, 3) for _ in range(6)]
+    for _ in range(count):
+        pool.append(Binary(rng.choice(BINARY_OPS), rng.choice(pool), rng.choice(pool)))
+    return pool[6:]
+
+
+def test_truth_table_never_reads_the_ids_of_dropped_formulas():
+    # the last call's memo names only nodes kept alive with it: f is dropped
+    # once an unrelated g has replaced it, and each h once the next call has
+    # begun, so fresh formulas are built at their addresses
+    rng = make_rng(41)
+    names = ("p", "q")
+    f, g = random_formula(rng, names, 6), random_formula(rng, names, 6)
+    truth_table(f, names)
+    truth_table(g, names)
+    del f
+    for _ in range(1000):
+        h = random_formula(rng, names, 4)
+        assert truth_table(h, names).entries == _reference_table(h, names)
+        del h
+
+
+def test_truth_table_reuses_nothing_across_var_orders():
+    f = parse("(p -> #q) & ~(p -> #q) | []q")
+    for names in (("p", "q"), ("q", "p"), ("p", "q", "r"), ("p", "q")):
+        assert truth_table(f, names).entries == _reference_table(f, names)
+
+
+def test_truth_table_gives_the_same_tables_in_either_call_order():
+    rng = make_rng(42)
+    names = ("p", "q")
+    formulas = _sharing_formulas(rng, names, 60)
+    forward = [truth_table(f, names).entries for f in formulas]
+    backward = [truth_table(f, names).entries for f in reversed(formulas)][::-1]
+    assert forward == backward == [_reference_table(f, names) for f in formulas]
+
+
+def test_truth_table_is_correct_under_two_threads():
+    # each thread tabulates its own formulas over one var_order, so each
+    # call reads a memo the other thread may just have put in place
+    rng = make_rng(43)
+    names = ("p", "q")
+    work = [_sharing_formulas(rng, names, 40) for _ in range(2)]
+    wrong, finished = [], []
+
+    def tabulate(formulas, tables):
+        for _ in range(20):
+            wrong.extend(f for f, t in zip(formulas, tables) if truth_table(f, names).entries != t)
+        finished.append(True)
+
+    threads = [
+        threading.Thread(target=tabulate, args=(fs, [_reference_table(f, names) for f in fs]))
+        for fs in work
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(finished) == 2 and wrong == []
+
+
 def test_gl4_axiom_formula_evaluates_exhaustively():
     # the box-corrected depth-two axiom is identically 1
     f = parse("# # 0 & (# ([] p -> q) | # ([] q -> p))")
@@ -385,6 +468,16 @@ def test_not_equal_is_the_negation_of_equal_at_any_depth():
     a, b, c = _nest("p", 200_000), _nest("p", 200_000), _nest("q", 200_000)
     assert (a != b) is False
     assert (a != c) is True
+
+
+def test_a_formula_equals_itself_without_a_walk(monkeypatch):
+    chain = _chain(200_000, True)
+
+    def no_fold(*args):
+        raise AssertionError("== walked a formula compared with itself")
+
+    monkeypatch.setattr(formula, "_fold", no_fold)
+    assert chain == chain and not chain != chain
 
 
 def test_a_node_never_equals_a_plain_tuple():
