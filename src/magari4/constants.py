@@ -26,10 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .algebra import ELEMENTS, HIGH, LOW, Element, delta
-from .formula import Formula, Var, free_vars, parse, substitute_all, truth_table
+from .formula import (
+    Formula, Var, _dag_fold, _dag_node, free_vars, parse, substitute_all, truth_table,
+)
 from .preservation import (
     ViolationWitness,
     builtin_relation,
@@ -74,32 +76,22 @@ class TermVar:
     name: str
 
 
-# ==, hash and repr run on _dag_fold, so they take any depth and a tower
-# of shared arguments costs its distinct nodes, not its tree
-@dataclass(frozen=True, eq=False, repr=False)
-class TermApply:
-    label: str
-    args: tuple["Term", ...]
+# a tuple node (label, *args), so it shares the formula nodes' DAG
+# protocol (see formula._dag_node); its repr too runs on _dag_fold
+@_dag_node
+class TermApply(tuple):
+    __slots__ = ()
 
-    def __eq__(self, other: object) -> bool:
-        """Each distinct shape of either side is numbered once, in one dict,
-        so the sides are equal iff their roots' numbers are."""
-        if other is self:
-            return True
-        if type(other) is not TermApply:
-            return NotImplemented
-        shapes: dict = {}
+    def __new__(cls, label: str, args: tuple["Term", ...]) -> "TermApply":
+        return tuple.__new__(cls, (label, *args))
 
-        def number(key) -> int:
-            return shapes.setdefault(key, len(shapes))
+    @property
+    def label(self) -> str:
+        return self[0]
 
-        def shape(term: Term) -> int:
-            return _dag_fold(term, number, lambda node, args: number((node.label, *args)))
-
-        return shape(self) == shape(other)
-
-    def __hash__(self) -> int:
-        return _dag_fold(self, hash, lambda node, args: hash((node.label, *args)))
+    @property
+    def args(self) -> tuple["Term", ...]:
+        return self[1:]
 
     def __repr__(self) -> str:
         """Each distinct application once, as `%k = label[args]`, innermost
@@ -118,43 +110,11 @@ class TermApply:
 Term = Union[TermVar, TermApply]
 
 
-def _dag_fold(term: Term, leaf: Callable, apply: Callable, _known: dict | None = None):
-    """Fold the term DAG bottom-up: leaf(var) values a variable and
-    apply(node, values) an application from its argument values.  Each
-    distinct node (by identity) is valued once, and the explicit stack
-    takes any depth.  _known maps id(node) to (node, value) for the
-    applications valued by earlier folds with the same callbacks: the fold
-    takes such a value without descending below its node, and records each
-    application it values.  An entry holds its node, so its id is not
-    reused while it lives, and the identity check covers a copied dict."""
-    memo = {}
-    stack = [term]
-    while stack:
-        node = stack.pop()
-        if type(node) is tuple:  # (node,) is popped after its arguments
-            (node,) = node
-            value = memo[id(node)] = apply(node, [memo[id(a)] for a in node.args])
-            if _known is not None:
-                _known[id(node)] = (node, value)
-        elif id(node) not in memo:
-            if isinstance(node, TermVar):
-                memo[id(node)] = leaf(node)
-                continue
-            if _known is not None:
-                hit = _known.get(id(node))
-                if hit is not None and hit[0] is node:
-                    memo[id(node)] = hit[1]
-                    continue
-            stack.append((node,))
-            stack += node.args
-    return memo[id(term)]
-
-
 def term_subst(term: Term, mapping: Mapping[str, Term]) -> Term:
     return _dag_fold(
         term,
         lambda v: mapping.get(v.name, v),
-        lambda node, args: TermApply(node.label, tuple(args)),
+        lambda node, args: TermApply(node.label, args),
     )
 
 

@@ -14,24 +14,26 @@ Precedence is {~, #, []} > & > | > -> > <->; `->` associates to the right,
 `&`, `|` and `<->` to the left.  The derived connectives are expanded at
 parse time and never appear as AST nodes: `[]A` becomes `(A & #A)` and
 `A <-> B` becomes `((A -> B) & (B -> A))`.  `parse` reads this syntax in
-one operator-precedence loop over explicit stacks, and the walkers share
-one explicit-stack fold, so no function here is limited by a formula's
-depth.
+one operator-precedence loop over explicit stacks, and the walkers run on
+explicit-stack folds, so no function here is limited by a formula's depth.
 
 Node layout: `Var` and `Const` are frozen dataclasses, while the compound
 nodes `Unary(op, child)` and `Binary(op, left, right)` are immutable tuple
 subclasses (`typing.NamedTuple`), so building one is a C-level
-`tuple.__new__`.  Their contract is the named fields, `==`, `!=`, `hash`
-and `repr`, which walk the DAG (a node compared with itself is equal at
-once) and never compare with a plain tuple or with another node type,
+`tuple.__new__`.  A term application, `constants.TermApply`, is the same
+kind of node, `(label, *args)`, and all three share one DAG protocol
+(`_dag_node`) on one generic fold, `_dag_fold`, whose operands are
+`node[1:]`.  Their contract is the named fields, `==`, `!=`, `hash` and
+`repr`, which walk the DAG (a node compared with itself is equal at once)
+and never compare with a plain tuple or with another node type,
 immutability, and `copy.deepcopy` and `pickle`, which go through a flat
-list of the distinct nodes; ordering (`<`) raises
-TypeError.  The tuple behaviours they inherit (`len`, iteration, indexing,
-unpacking, `+`) are not part of the contract.  The walkers read the named
-fields, which on CPython 3.11 is no slower than unpacking a tuple subclass
-but is not specialised either; so the one fold reads a node's fields once
-on the visit that values it, and revisits only a node whose compound
-operands were still waiting.
+list of the distinct nodes, so both kinds take any depth; ordering (`<`)
+raises TypeError.  The tuple behaviours they inherit (`len`, iteration,
+indexing, unpacking, `+`) are not part of the contract.  The evaluators,
+printer and substitution run on `_fold` instead, which knows the two
+formula node types: it reads a node's fields once on the visit that values
+it, and revisits only a node whose compound operands were still waiting,
+where a generic fold ran `truth_table` about twice as slow.
 
 `truth_table` keeps one private slot: the var_order, root and memo of its
 last successful call.  The next call over the same var_order takes the
@@ -51,6 +53,7 @@ every valuation over the four elements.
 
 from __future__ import annotations
 
+import copy
 import re
 from dataclasses import dataclass
 from functools import partial
@@ -194,11 +197,45 @@ def _dag_repr(f: Formula) -> str:
     return f"{type(f).__name__}({', '.join(out)})"
 
 
-def _dag_hash(f: Formula) -> int:
-    return _fold(f, hash, lambda op, x: hash((op, x)), lambda op, x, y: hash((op, x, y)))
+def _dag_fold(root, leaf: Callable, apply: Callable, _known: dict | None = None):
+    """Fold any DAG of tuple nodes bottom-up, a formula or a term: a node's
+    operands are node[1:], and anything that is not a tuple is a leaf.
+    leaf(x) values a leaf and apply(node, values) a node from its operands'
+    values.  Each distinct node (by identity) is valued once, and the
+    explicit stack takes any depth; on it, a plain tuple (node,) marks a
+    node whose operands sit above it.  _known maps id(node) to (node,
+    value) for the nodes valued by earlier folds with the same callbacks:
+    the fold takes such a value without descending below its node, and
+    records each node it values.  An entry holds its node, so its id is not
+    reused while it lives, and the identity check covers a copied dict."""
+    memo = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:  # (node,) is popped after its operands
+            (node,) = node
+            value = memo[id(node)] = apply(node, [memo[id(x)] for x in node[1:]])
+            if _known is not None:
+                _known[id(node)] = (node, value)
+        elif id(node) not in memo:
+            if not isinstance(node, tuple):
+                memo[id(node)] = leaf(node)
+                continue
+            if _known is not None:
+                hit = _known.get(id(node))
+                if hit is not None and hit[0] is node:
+                    memo[id(node)] = hit[1]
+                    continue
+            stack.append((node,))
+            stack += node[1:]
+    return memo[id(root)]
 
 
-def _dag_eq(f: Formula, g: object) -> bool:
+def _dag_hash(node: tuple) -> int:
+    return _dag_fold(node, hash, lambda n, values: hash((n[0], *values)))
+
+
+def _dag_eq(f: tuple, g: object) -> bool:
     """Structural equality: each distinct shape of either side is numbered
     once, in one dict, so the sides are equal iff their roots' numbers are.
     A node never equals a plain tuple, which would otherwise compare it
@@ -212,89 +249,79 @@ def _dag_eq(f: Formula, g: object) -> bool:
     def number(key) -> int:
         return shapes.setdefault(key, len(shapes))
 
-    def shape(h: Formula) -> int:
-        return _fold(
-            h,
-            number,
-            lambda op, x: number((op, x)),
-            lambda op, x, y: number((op, x, y)),
-        )
+    def shape(root: tuple) -> int:
+        return _dag_fold(root, number, lambda n, values: number((n[0], *values)))
 
     return shape(f) == shape(g)
 
 
-def _dag_ne(f: Formula, g: object) -> bool:
+def _dag_ne(f: tuple, g: object) -> bool:
     # without it, != would be tuple's, which compares field by field
     equal = _dag_eq(f, g)
     return equal if equal is NotImplemented else not equal
 
 
-def _unordered(f: Formula, g: object):
-    raise TypeError(f"formulas are not ordered: {type(f).__name__} and {type(g).__name__}")
+def _unordered(f: tuple, g: object):
+    raise TypeError(f"nodes are not ordered: {type(f).__name__} and {type(g).__name__}")
 
 
-def _flatten(f: Formula) -> list:
-    """The distinct nodes of f in post-order, root last: a variable as its
-    name, a constant as its value, a compound node as its connective and
-    its operands' positions."""
+def _flatten(root: tuple) -> list:
+    """The distinct nodes of root in post-order, root last: a leaf as
+    itself, a node as its type, its node[0] and its operands' positions."""
     nodes: list = []
 
     def add(entry) -> int:
         nodes.append(entry)
         return len(nodes) - 1
 
-    _fold(
-        f,
-        lambda node: add(node.name if type(node) is Var else node.value),
-        lambda op, x: add((op, x)),
-        lambda op, x, y: add((op, x, y)),
-    )
+    _dag_fold(root, add, lambda node, values: add((type(node), node[0], *values)))
     return nodes
 
 
-def _rebuild(nodes: list) -> Formula:
+def _rebuild(nodes: list) -> tuple:
     """New nodes from _flatten's list, one per entry, so sharing survives."""
-    built: list[Formula] = []
+    built: list = []
     for entry in nodes:
-        if type(entry) is str:
-            built.append(Var(entry))
-        elif type(entry) is not tuple:
-            built.append(Const(entry))
-        elif len(entry) == 2:
-            built.append(Unary(entry[0], built[entry[1]]))
-        else:
-            built.append(Binary(entry[0], built[entry[1]], built[entry[2]]))
+        if type(entry) is tuple:
+            kind, head, *at = entry
+            entry = tuple.__new__(kind, (head, *[built[k] for k in at]))
+        built.append(entry)
     return built[-1]
 
 
-def _dag_deepcopy(f: Formula, memo: dict) -> Formula:
-    return _rebuild(_flatten(f))
+def _dag_deepcopy(root: tuple, memo: dict) -> tuple:
+    return _rebuild([e if type(e) is tuple else copy.deepcopy(e, memo) for e in _flatten(root)])
 
 
-def _dag_reduce(f: Formula):
-    return _rebuild, (_flatten(f),)
+def _dag_reduce(root: tuple):
+    return _rebuild, (_flatten(root),)
 
 
-# equality, hashing, repr, deep copies and pickles walk the DAG, so a tower
-# of shared operands costs its distinct nodes, not its tree, and any depth
-# is taken; tuple's ordering is switched off
+def _dag_node(cls: type) -> type:
+    """Give a tuple node class the DAG protocol that Unary, Binary and
+    constants.TermApply share (see the module docstring): a tower of shared
+    operands costs its distinct nodes, not its tree, and any depth is taken."""
+    cls.__eq__, cls.__ne__, cls.__hash__ = _dag_eq, _dag_ne, _dag_hash
+    cls.__deepcopy__, cls.__reduce__ = _dag_deepcopy, _dag_reduce
+    cls.__lt__ = cls.__le__ = cls.__gt__ = cls.__ge__ = _unordered
+    return cls
+
+
+@_dag_node
 class Unary(NamedTuple):
     op: Connective
     child: "Formula"
 
-    __repr__, __eq__, __ne__, __hash__ = _dag_repr, _dag_eq, _dag_ne, _dag_hash
-    __deepcopy__, __reduce__ = _dag_deepcopy, _dag_reduce
-    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+    __repr__ = _dag_repr
 
 
+@_dag_node
 class Binary(NamedTuple):
     op: Connective
     left: "Formula"
     right: "Formula"
 
-    __repr__, __eq__, __ne__, __hash__ = _dag_repr, _dag_eq, _dag_ne, _dag_hash
-    __deepcopy__, __reduce__ = _dag_deepcopy, _dag_reduce
-    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+    __repr__ = _dag_repr
 
 
 Formula = Union[Var, Const, Unary, Binary]

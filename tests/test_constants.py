@@ -10,6 +10,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import pickle
 import random
 import time
 
@@ -22,7 +23,7 @@ from conftest import (
     distinct_nodes,
     make_rng,
 )
-from magari4 import constants, selftest
+from magari4 import constants, formula, selftest
 from magari4.algebra import ELEMENTS
 from magari4.closure import expressible_constants
 from magari4.constants import (
@@ -305,21 +306,27 @@ def test_expansions_survive_reused_ids():
         assert truth_table(expanded, ("p",)) == realized
 
 
+def pickled(value):
+    return pickle.loads(pickle.dumps(value))
+
+
 def test_copied_system_expands_its_own_terms():
-    # a deep copy's entries hold copies of the nodes under the originals'
-    # ids; once the originals are gone, those ids go to new terms
+    # a deep copy's or an unpickled copy's entries hold copies of the nodes
+    # under the originals' ids; once the originals are gone, those ids go
+    # to new terms
     tables = canned_system().tables()
     rng = make_rng(35)
-    for _ in range(300):
-        original = canned_system()
-        term = random_two_level_term(rng, tables)
-        Derivation(term, ("p",), term_table(term, ("p",), tables), (), original).expand()
-        copied = copy.deepcopy(original)
-        del original, term
-        term = random_two_level_term(rng, tables)
-        realized = term_table(term, ("p",), tables)
-        expanded = Derivation(term, ("p",), realized, (), copied).expand()
-        assert truth_table(expanded, ("p",)) == realized
+    for duplicate in (copy.deepcopy, pickled):
+        for _ in range(300):
+            original = canned_system()
+            term = random_two_level_term(rng, tables)
+            Derivation(term, ("p",), term_table(term, ("p",), tables), (), original).expand()
+            copied = duplicate(original)
+            del original, term
+            term = random_two_level_term(rng, tables)
+            realized = term_table(term, ("p",), tables)
+            expanded = Derivation(term, ("p",), realized, (), copied).expand()
+            assert truth_table(expanded, ("p",)) == realized
 
 
 def test_one_composition_per_distinct_tabulated_node(monkeypatch):
@@ -367,20 +374,21 @@ def test_tabulated_tables_survive_reused_ids():
 
 
 def test_copied_and_replaced_systems_tabulate_their_own_terms():
-    # a deep copy's entries hold copies of the nodes under the originals'
-    # ids, and dataclasses.replace starts with no entries, so neither ever
-    # serves another system's table
+    # a deep copy's or an unpickled copy's entries hold copies of the nodes
+    # under the originals' ids, and dataclasses.replace starts with no
+    # entries, so none of them ever serves another system's table
     canned = canned_system()
     tables = canned.tables()
     rng = make_rng(39)
-    for _ in range(300):
-        original = canned_system()
-        term = random_two_level_term(rng, tables)
-        constants._tabulate(term, original)
-        copied = copy.deepcopy(original)
-        del original, term
-        term = random_two_level_term(rng, tables)
-        assert constants._tabulate(term, copied) == term_table(term, ("p",), tables)
+    for duplicate in (copy.deepcopy, pickled):
+        for _ in range(300):
+            original = canned_system()
+            term = random_two_level_term(rng, tables)
+            constants._tabulate(term, original)
+            copied = duplicate(original)
+            del original, term
+            term = random_two_level_term(rng, tables)
+            assert constants._tabulate(term, copied) == term_table(term, ("p",), tables)
     other = system(F2="~ # p")
     terms = [random_two_level_term(rng, tables) for _ in range(100)]
     for term in terms:
@@ -903,6 +911,33 @@ def test_term_equality_and_hash_take_any_depth():
     assert {hash(d) for d in first.values()} == {hash(d) for d in second.values()}
 
 
+def term_nodes(term) -> int:
+    """The distinct node objects of a term, its variables included."""
+    seen, stack = set(), [term]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(getattr(t, "args", ()))
+    return len(seen)
+
+
+def test_terms_deep_copy_and_pickle_at_any_depth():
+    # a chain far deeper than Python's recursion limit, and a tower of 2**30
+    # tree nodes whose copies keep its 31 distinct nodes
+    deep, high = chain(200_000, "p"), tower(30, "p")
+    for term, distinct in ((deep, 200_001), (high, 31)):
+        try:
+            copies = copy.deepcopy(term), pickled(term)
+        except RecursionError:
+            # raised afresh: a report of the recursing frames would print
+            # the term in each of them
+            raise AssertionError("copying recursed once per level") from None
+        for copied in copies:
+            assert copied is not term and copied == term
+            assert term_nodes(copied) == distinct
+
+
 def test_term_repr_lists_each_distinct_node_once():
     # far deeper than Python's recursion limit, and a tower of 2**22 tree
     # nodes, each printed on its distinct nodes
@@ -980,7 +1015,7 @@ def test_a_term_equals_itself_without_a_walk(monkeypatch):
     def no_fold(*args):
         raise AssertionError("== walked a term compared with itself")
 
-    monkeypatch.setattr(constants, "_dag_fold", no_fold)
+    monkeypatch.setattr(formula, "_dag_fold", no_fold)
     assert deep == deep and not deep != deep
 
 

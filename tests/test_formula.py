@@ -20,6 +20,7 @@ from conftest import (
 )
 from magari4 import formula
 from magari4.algebra import ELEMENTS, Connective, apply, delta
+from magari4.constants import TermApply, TermVar
 from magari4.formula import (
     Binary,
     Const,
@@ -476,23 +477,25 @@ def test_a_formula_equals_itself_without_a_walk(monkeypatch):
     def no_fold(*args):
         raise AssertionError("== walked a formula compared with itself")
 
-    monkeypatch.setattr(formula, "_fold", no_fold)
+    monkeypatch.setattr(formula, "_dag_fold", no_fold)
     assert chain == chain and not chain != chain
 
 
 def test_a_node_never_equals_a_plain_tuple():
-    p = Var("p")
+    p, t = Var("p"), TermVar("p")
     for node, fields in (
         (Binary(Connective.AND, p, p), (Connective.AND, p, p)),
         (Unary(Connective.NOT, p), (Connective.NOT, p)),
+        (TermApply("F1", (t,)), ("F1", t)),
     ):
         assert node != fields and fields != node
         assert not node == fields and not fields == node
 
 
 def test_formulas_are_not_ordered():
-    p, q = Var("p"), Var("q")
+    p, q, t = Var("p"), Var("q"), TermVar("p")
     nodes = [Binary(Connective.AND, p, q), Binary(Connective.AND, p, q), Unary(Connective.NOT, p)]
+    nodes += [TermApply("F1", (t,)), TermApply("F1", (t, t))]
     for x in nodes:
         for y in nodes + [p]:
             with pytest.raises(TypeError):
@@ -506,10 +509,15 @@ def test_formulas_are_not_ordered():
 def test_node_fields_cannot_be_assigned():
     p = Var("p")
     binary, unary = Binary(Connective.AND, p, p), Unary(Connective.NOT, p)
-    for node, name in ((binary, "op"), (binary, "left"), (binary, "right"), (unary, "child")):
+    term = TermApply("F1", (TermVar("p"),))
+    for node, name in (
+        (binary, "op"), (binary, "left"), (binary, "right"), (unary, "child"),
+        (term, "label"), (term, "args"),
+    ):
         with pytest.raises(AttributeError):
             setattr(node, name, Var("q"))
     assert binary == Binary(Connective.AND, p, p) and unary.child is p
+    assert term.label == "F1" and term.args == (TermVar("p"),)
 
 
 def test_deepcopy_keeps_sharing_and_equality():
