@@ -336,7 +336,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synthesize", help="build a formula realizing a table")
     p.add_argument("--table", required=True, help="table text <arity>:<entries>")
-    p.add_argument("--simplify", action="store_true", help="drop zero selectors")
+    p.add_argument("--simplify", action="store_true",
+                   help="compact formula: least-size unary parts, joined slice by slice")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_synthesize)
 

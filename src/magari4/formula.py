@@ -26,14 +26,15 @@ kind of node, `(label, *args)`, and all three share one DAG protocol
 `node[1:]`.  Their contract is the named fields, `==`, `!=`, `hash` and
 `repr`, which walk the DAG (a node compared with itself is equal at once)
 and never compare with a plain tuple or with another node type,
-immutability, and `copy.deepcopy` and `pickle`, which go through a flat
-list of the distinct nodes, so both kinds take any depth; ordering (`<`)
-raises TypeError.  The tuple behaviours they inherit (`len`, iteration,
-indexing, unpacking, `+`) are not part of the contract.  The evaluators,
-printer and substitution run on `_fold` instead, which knows the two
-formula node types: it reads a node's fields once on the visit that values
-it, and revisits only a node whose compound operands were still waiting,
-where a generic fold ran `truth_table` about twice as slow.
+immutability (`copy.copy` returns the node), and `copy.deepcopy` and
+`pickle`, which go through a flat list of the distinct nodes, so both
+kinds take any depth; ordering (`<`) raises TypeError.  The tuple
+behaviours they inherit (`len`, iteration, indexing, unpacking, `+`) are
+not part of the contract.  The evaluators, printer and substitution run
+on `_fold` instead, which knows the two formula node types: it reads a
+node's fields once on the visit that values it, and revisits only a node
+whose compound operands were still waiting, where a generic fold ran
+`truth_table` about twice as slow.
 
 `truth_table` keeps one private slot: the var_order, root and memo of its
 last successful call.  The next call over the same var_order takes the
@@ -302,6 +303,7 @@ def _dag_node(cls: type) -> type:
     constants.TermApply share (see the module docstring): a tower of shared
     operands costs its distinct nodes, not its tree, and any depth is taken."""
     cls.__eq__, cls.__ne__, cls.__hash__ = _dag_eq, _dag_ne, _dag_hash
+    cls.__copy__ = lambda node: node  # immutable, so its own shallow copy, as a tuple is
     cls.__deepcopy__, cls.__reduce__ = _dag_deepcopy, _dag_reduce
     cls.__lt__ = cls.__le__ = cls.__gt__ = cls.__ge__ = _unordered
     return cls
@@ -543,7 +545,13 @@ def truth_table(f: Formula, var_order: Sequence[str]) -> FuncTable:
 # The truth table of a formula is computed in one fold over packed tables
 # (see tables.pack): entry k occupies the low two bits of byte k, so the
 # boolean connectives are single bitwise operations on the whole table and
-# delta is a shift plus two masks.
+# delta is a shift plus two masks, as packed_connectives gives them.
+def packed_connectives(n: int) -> tuple[Callable, Callable]:
+    ones, lo, hi = packed_masks(n)
+    return (lambda op, x: x ^ ones if op is _NOT else hi | ((x >> 1) & lo),
+            lambda op, x, y: x & y if op is _AND else x | y if op is _OR else (x ^ ones) | y)
+
+
 def _tabulate(
     f: Formula, var_order: tuple[str, ...], known: Mapping = _NOTHING, memo: dict | None = None
 ) -> FuncTable:
@@ -557,13 +565,12 @@ def _tabulate(
             f"a truth table over {n} variables exceeds the cap of {MAX_TABLE_VARS}"
         )
     env = {name: projection_packed(n, i) for i, name in enumerate(var_order)}
-    ones, lo, hi = packed_masks(n)
+    lo = packed_masks(n)[1]
     try:
         return unpack(_fold(
             f,
             lambda node: env[node.name] if type(node) is Var else lo * node.value,
-            lambda op, x: x ^ ones if op is _NOT else hi | ((x >> 1) & lo),
-            lambda op, x, y: x & y if op is _AND else x | y if op is _OR else (x ^ ones) | y,
+            *packed_connectives(n),
             known,
             memo,
         ), n)

@@ -10,21 +10,25 @@ p_i = alpha_i, to s & d when all inputs stay in their delta classes but
 some differ, and to 0 once any input leaves its class.  Joining the
 selectors of all 4**n argument tuples therefore reproduces the table
 exactly, because d | 0 | (s & d') = d whenever d' shares d's class.
+
+The compact one (simplify=True) takes a unary table's least-size formula
+from an atlas and joins a wider f as OR over a of S_a(p1) & f_a, with f_a
+f's slice at p1 = a (built one arity down) and S_a 1 at a, s at a's class
+partner a', 0 elsewhere.  At p1 = a that reads f_a | (s & f_a'), and f_a'
+is in f_a's delta class, as f preserves the pairing: so it reads f_a.
+Slices of all 0s are dropped; one of all 1s leaves S_a alone.
 """
 
 from __future__ import annotations
 
 import functools
 
-from .algebra import Connective, Element
-from .formula import Binary, Const, Formula, Var, _tabulate, box_formula, iff_formula
-from .preservation import (
-    column_text,
-    delta_pairing_relation,
-    find_violation,
-    preserves_delta_pairing,
-)
-from .tables import FuncTable, points
+from .algebra import ELEMENTS, Connective, Element
+from .formula import (Binary, Const, Formula, Unary, Var, _tabulate, box_formula,
+                      iff_formula, packed_connectives)
+from .preservation import (column_text, delta_pairing_relation, find_violation,
+                           preserves_delta_pairing)
+from .tables import FuncTable, constant_table, pack, points, projection_packed
 
 
 class NotRepresentable(ValueError):
@@ -64,11 +68,11 @@ def synthesize(
     """A formula whose truth table is exactly f.
 
     The result is the join of one selector per argument tuple, tuples in
-    enumeration order, so output is deterministic.  With simplify=True the
-    selectors contributing a bare 0 are dropped (and the table equality is
-    re-checked).  Tables of arity 0 are rejected: use a constant formula.
-    Tables breaking the delta pairing raise NotRepresentable, and
-    var_names holding a name twice raise ValueError.
+    enumeration order, so output is deterministic.  With simplify=True it
+    is the compact synthesis of the module docstring, re-checked against
+    f.  Tables of arity 0 are rejected: use a constant formula.  Tables
+    breaking the delta pairing raise NotRepresentable, and var_names
+    holding a name twice raise ValueError.
     """
     if f.arity == 0:
         raise ValueError("arity-0 table: use a constant formula directly")
@@ -84,19 +88,67 @@ def synthesize(
         raise ValueError(f"need {f.arity} variable name(s), got {len(names)}")
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate variable name in {list(names)}")
-    selectors = list(zip(points(f.arity), f.entries))
     if simplify:
-        kept = [(a, v) for a, v in selectors if v is not Element.ZERO]
-        result = _join_all(kept, names) if kept else Const(Element.ZERO)
+        result = _compact(f.entries, names, {})
         # a formula just built shares no node with an earlier tabulation, so
         # the re-check leaves truth_table's last memo in place
         if _tabulate(result, names) != f:
-            raise RuntimeError("simplification changed the realized table")
+            raise RuntimeError("compact synthesis changed the realized table")
         return result
-    return _join_all(selectors, names)
+    return _join_all(list(zip(points(f.arity), f.entries)), names)
 
 
 def _join_all(selectors, names) -> Formula:
     shared: dict = {}
     joined = [_selector(alpha, value, names, shared) for alpha, value in selectors]
     return functools.reduce(functools.partial(Binary, Connective.OR), joined)
+
+
+@functools.cache
+def _atlas() -> dict[int, tuple]:
+    """A least-size recipe per unary table, keyed by the packed table: (Var,),
+    (Const, value) or (op, *operand tables).  The search by tree size
+    (Knuth, TAOCP 4A, 7.1.2) combines only least recipes, as a least
+    formula's operands may be least formulas of their own tables."""
+    unary, binary = packed_connectives(1)
+    atlas = {pack(constant_table(v)): (Const, v) for v in ELEMENTS}
+    atlas[projection_packed(1, 0)] = (Var,)
+    by_size = [[], list(atlas)]  # the tables first reached at each size
+    while len(atlas) < 64:
+        n, known = len(by_size), len(atlas)
+        made = [((op, x), unary(op, x)) for op in Connective if op.arity < 2 for x in by_size[-1]]
+        made += [((op, x, y), binary(op, x, y)) for op in Connective if op.arity > 1
+                 for i in range(1, n - 1) for x in by_size[i] for y in by_size[n - 1 - i]]
+        for recipe, table in made:
+            atlas.setdefault(table, recipe)
+        by_size.append(list(atlas)[known:])
+    return atlas
+
+
+def _unary(table: int, name: str, shared: dict) -> Formula:
+    """The atlas formula of a packed unary table over name, built once per shared dict."""
+    if (name, table) not in shared:
+        op, *args = _atlas()[table]
+        if op is Var or op is Const:
+            node = _leaf(op, args[0] if args else name, shared)
+        else:
+            kind = Unary if len(args) == 1 else Binary
+            node = kind(op, *[_unary(t, name, shared) for t in args])
+        shared[name, table] = node
+    return shared[name, table]
+
+
+def _compact(entries: tuple[Element, ...], names: tuple[str, ...], shared: dict) -> Formula:
+    """The compact synthesis of the module docstring; a ^ 1 is a's partner."""
+    if len(names) == 1:
+        return _unary(int.from_bytes(bytes(entries), "little"), names[0], shared)
+    if len(set(entries)) == 1:
+        return _leaf(Const, entries[0], shared)
+    width, terms = len(entries) // 4, []
+    for a in ELEMENTS:
+        part = entries[a * width : (a + 1) * width]
+        if part.count(Element.ZERO) < width:
+            s_a = _unary(3 << 8 * a | 2 << 8 * (a ^ 1), names[0], shared)
+            terms.append(s_a if part.count(Element.ONE) == width else
+                         Binary(Connective.AND, s_a, _compact(part, names[1:], shared)))
+    return functools.reduce(functools.partial(Binary, Connective.OR), terms)

@@ -565,6 +565,15 @@ def test_deep_chains_survive_deepcopy_and_pickle():
         assert g is not f and g == f
 
 
+def test_a_shallow_copy_is_the_node_itself():
+    # an immutable node needs no copy, as a tuple does not; at any depth
+    p = Var("p")
+    term = TermApply("F1", (TermApply("F2", (TermVar("p"),)),))
+    for node in (Unary(Connective.NOT, p), Binary(Connective.AND, p, p),
+                 _chain(200_000, True), term):
+        assert copy.copy(node) is node
+
+
 def test_unpickled_tower_keeps_its_sharing():
     f = parse("[]" * 40 + "(p -> sigma)")
     g = pickle.loads(pickle.dumps(f))

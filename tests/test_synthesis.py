@@ -16,8 +16,10 @@ from magari4.formula import (
     box_formula,
     evaluate,
     format_formula,
+    free_vars,
     iff_formula,
     parse,
+    tree_size,
     truth_table,
 )
 from magari4.preservation import (
@@ -88,8 +90,9 @@ def test_synthesize_delta_and_identity():
 
 def test_synthesize_all_unary_tables_round_trip():
     for table in delta_preserving_tables(1):
-        f = synthesize(table)
-        assert truth_table(f, ("p1",)) == table
+        for simplify in (False, True):
+            f = synthesize(table, simplify=simplify)
+            assert truth_table(f, ("p1",)) == table
 
 
 def test_synthesize_rejects_exactly_the_violating_tables():
@@ -128,10 +131,12 @@ def test_synthesize_binary_spot_and_random():
     meet_table = FuncTable(
         2, tuple(meet(x, y) for x, y in points(2))
     )
-    assert truth_table(synthesize(meet_table), ("p1", "p2")) == meet_table
+    for simplify in (False, True):
+        assert truth_table(synthesize(meet_table, simplify=simplify), ("p1", "p2")) == meet_table
     for _ in range(40):
         table = random_delta_preserving_table(2, rng)
-        assert truth_table(synthesize(table), ("p1", "p2")) == table
+        for simplify in (False, True):
+            assert truth_table(synthesize(table, simplify=simplify), ("p1", "p2")) == table
 
 
 def test_synthesize_builds_each_clause_once():
@@ -186,6 +191,83 @@ def test_simplify_preserves_table():
     assert format_formula(synthesize(zero, simplify=True)) == "0"
 
 
+# ---------------------------------------------------------------------------
+# Compact synthesis (simplify=True)
+# ---------------------------------------------------------------------------
+
+
+def _least_sizes() -> dict[tuple, int]:
+    """The least tree size of a formula in p realizing each table, found
+    apart from the atlas: pointwise, on Element 4-tuples, every table
+    that some formula of exactly n nodes realizes, for n up to 12."""
+    p = Var("p")
+    ops = {  # each connective's pointwise table, read off evaluate
+        op: {xs: evaluate(build, dict(zip("pq", xs))) for xs in points(op.arity)}
+        for op, build in (
+            (Connective.NOT, Unary(Connective.NOT, p)),
+            (Connective.DELTA, Unary(Connective.DELTA, p)),
+            (Connective.AND, Binary(Connective.AND, p, Var("q"))),
+            (Connective.OR, Binary(Connective.OR, p, Var("q"))),
+            (Connective.IMP, Binary(Connective.IMP, p, Var("q"))),
+        )
+    }
+    exact = {1: {ELEMENTS} | {(c,) * 4 for c in ELEMENTS}}
+    for n in range(2, 13):
+        exact[n] = {
+            tuple(ops[op][x,] for x in t)
+            for op in (Connective.NOT, Connective.DELTA)
+            for t in exact[n - 1]
+        } | {
+            tuple(map(ops[op].get, zip(t, u)))
+            for i in range(1, n - 1)
+            for t in exact[i]
+            for u in exact[n - 1 - i]
+            for op in (Connective.AND, Connective.OR, Connective.IMP)
+        }
+    least: dict[tuple, int] = {}
+    for n, tables in exact.items():
+        for t in tables:
+            least.setdefault(t, n)
+    return least
+
+
+def test_compact_unary_formulas_are_least():
+    least = _least_sizes()
+    assert len(least) == 64 and max(least.values()) == 12
+    for table in delta_preserving_tables(1):
+        f = synthesize(table, ("p",), simplify=True)
+        assert tuple(evaluate(f, {"p": x}) for x in ELEMENTS) == table.entries
+        assert tree_size(f) == least[table.entries]
+
+
+def test_compact_synthesis_round_trips_arity_3_and_constants():
+    # arity 3 recurses through the slice join twice
+    rng = make_rng(43)
+    names = ("x", "y", "z")
+    for _ in range(60):
+        table = random_delta_preserving_table(3, rng)
+        assert truth_table(synthesize(table, names, simplify=True), names) == table
+    for arity in (1, 2, 3):
+        for value in ELEMENTS:
+            constant = FuncTable(arity, (value,) * 4**arity)
+            assert synthesize(constant, names[:arity], simplify=True) == Const(value)
+
+
+def test_compact_synthesis_builds_each_unary_node_once():
+    # within one call, no two node objects in at most one variable have the
+    # same variable and table, so the atlas formulas share their subformulas
+    rng = make_rng(47)
+    for arity in (2, 3):
+        for _ in range(10):
+            f = synthesize(random_delta_preserving_table(arity, rng), simplify=True)
+            keys = []
+            for node in distinct_nodes(f).values():
+                names = tuple(sorted(free_vars(node)))
+                if len(names) <= 1:
+                    keys.append((names, truth_table(node, names)))
+            assert len(set(keys)) == len(keys) > 4
+
+
 def test_synthesize_deterministic():
     table = FuncTable.from_text("1:ss11")
     assert format_formula(synthesize(table)) == format_formula(synthesize(table))
@@ -210,7 +292,7 @@ def test_structure_is_join_of_selectors():
 
 # sha256 of the printed synthesized formulas below; a change to how
 # synthesize builds its formulas must leave every printed byte as it was
-SYNTHESIS_DIGEST = "dada023e6e4bd82a9195478a5c6dfcf94a50afec83d3803f1adbf4a4302543c9"
+SYNTHESIS_DIGEST = "6054a7b119e666b267973e239adc3775e03be0d703742d430ea76e5629c59f2e"
 
 
 def test_synthesized_text_digest_pinned():
