@@ -178,7 +178,7 @@ def _cmd_synthesize(args) -> int:
     table = FuncTable.from_text(args.table)
     if table.arity > 4:
         raise _UsageError("synthesis capped at arity 4 on the command line")
-    formula = synthesize(table, simplify=args.simplify)
+    formula = synthesize(table)
     text = format_formula(formula)
     _emit({"formula": text, "table": table.to_text()}, args.json, text)
     return 0
@@ -337,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize", help="build a formula realizing a table")
     p.add_argument("--table", required=True, help="table text <arity>:<entries>")
     p.add_argument("--simplify", action="store_true",
-                   help="compact formula: least-size unary parts, joined slice by slice")
+                   help="accepted and ignored: every formula is the compact one")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_synthesize)
 

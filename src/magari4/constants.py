@@ -183,7 +183,7 @@ class SystemMember:
 
     @cached_property
     def formula(self) -> Formula:
-        return self.given or synthesize(self.table, self.var_order, simplify=True)
+        return self.given or synthesize(self.table, self.var_order)
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,13 @@
 """Constructive synthesis of a realizing formula for any table that
 respects the delta-class pairing.
 
-For a fixed argument tuple alpha with table value delta, the selector
-
-    C_alpha(p1, ..., pn) = ([](p1 <-> a1) & ... & [](pn <-> an)) & d
-
-(constants a_i for alpha_i and d for delta) evaluates to d when every
-p_i = alpha_i, to s & d when all inputs stay in their delta classes but
-some differ, and to 0 once any input leaves its class.  Joining the
-selectors of all 4**n argument tuples therefore reproduces the table
-exactly, because d | 0 | (s & d') = d whenever d' shares d's class.
-
-The compact one (simplify=True) takes a unary table's least-size formula
-from an atlas and joins a wider f as OR over a of S_a(p1) & f_a, with f_a
-f's slice at p1 = a (built one arity down) and S_a 1 at a, s at a's class
-partner a', 0 elsewhere.  At p1 = a that reads f_a | (s & f_a'), and f_a'
-is in f_a's delta class, as f preserves the pairing: so it reads f_a.
-Slices of all 0s are dropped; one of all 1s leaves S_a alone.
+A unary table takes its least-size formula from an atlas.  A wider f is
+the join over a of S_a(p1) & f_a, with f_a f's slice at p1 = a (built one
+arity down) and S_a 1 at a, s at a's class partner a', 0 elsewhere.  At
+p1 = a that reads f_a | (s & f_a') | 0, and f_a' is in f_a's delta class,
+as f preserves the pairing: so it reads f_a, as d | 0 | (s & d') = d
+whenever d' shares d's class.  Slices of all 0s are dropped; one of all
+1s leaves S_a alone.
 """
 
 from __future__ import annotations
@@ -24,11 +15,10 @@ from __future__ import annotations
 import functools
 
 from .algebra import ELEMENTS, Connective, Element
-from .formula import (Binary, Const, Formula, Unary, Var, _tabulate, box_formula,
-                      iff_formula, packed_connectives)
+from .formula import Binary, Const, Formula, Unary, Var, _tabulate, packed_connectives
 from .preservation import (column_text, delta_pairing_relation, find_violation,
                            preserves_delta_pairing)
-from .tables import FuncTable, constant_table, pack, points, projection_packed
+from .tables import FuncTable, constant_table, pack, projection_packed
 
 
 class NotRepresentable(ValueError):
@@ -36,21 +26,8 @@ class NotRepresentable(ValueError):
     formula realizes it."""
 
 
-def _selector(alpha, value: Element, names, shared: dict) -> Formula:
-    # one dict per synthesize call, so each [](name <-> a) clause, each
-    # variable and each constant leaf is built once
-    conj: Formula | None = None
-    for key in zip(names, alpha):
-        if key not in shared:
-            var, const = _leaf(Var, key[0], shared), _leaf(Const, key[1], shared)
-            shared[key] = box_formula(iff_formula(var, const))
-        clause = shared[key]
-        conj = clause if conj is None else Binary(Connective.AND, conj, clause)
-    return Binary(Connective.AND, conj, _leaf(Const, value, shared))
-
-
 def _leaf(kind: type, key: str | Element, shared: dict) -> Formula:
-    # a name (a str) never equals a value (an int) or a clause key (a tuple)
+    # a name (a str) never equals a value (an int) or a (name, table) key
     if key not in shared:
         shared[key] = kind(key)
     return shared[key]
@@ -65,14 +42,14 @@ def synthesize(
     var_names: list[str] | tuple[str, ...] | None = None,
     simplify: bool = False,
 ) -> Formula:
-    """A formula whose truth table is exactly f.
+    """A formula whose truth table is exactly f: the compact synthesis of
+    the module docstring, deterministic and re-checked against f.
 
-    The result is the join of one selector per argument tuple, tuples in
-    enumeration order, so output is deterministic.  With simplify=True it
-    is the compact synthesis of the module docstring, re-checked against
-    f.  Tables of arity 0 are rejected: use a constant formula.  Tables
-    breaking the delta pairing raise NotRepresentable, and var_names
-    holding a name twice raise ValueError.
+    Tables of arity 0 are rejected: use a constant formula.  Tables
+    breaking the delta pairing raise NotRepresentable.  var_names holding
+    a name twice, or a name that is reserved for a constant or malformed,
+    raise ValueError, also where f ignores that variable.  simplify is
+    accepted and selects nothing: there is one construction.
     """
     if f.arity == 0:
         raise ValueError("arity-0 table: use a constant formula directly")
@@ -88,20 +65,15 @@ def synthesize(
         raise ValueError(f"need {f.arity} variable name(s), got {len(names)}")
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate variable name in {list(names)}")
-    if simplify:
-        result = _compact(f.entries, names, {})
-        # a formula just built shares no node with an earlier tabulation, so
-        # the re-check leaves truth_table's last memo in place
-        if _tabulate(result, names) != f:
-            raise RuntimeError("compact synthesis changed the realized table")
-        return result
-    return _join_all(list(zip(points(f.arity), f.entries)), names)
-
-
-def _join_all(selectors, names) -> Formula:
-    shared: dict = {}
-    joined = [_selector(alpha, value, names, shared) for alpha, value in selectors]
-    return functools.reduce(functools.partial(Binary, Connective.OR), joined)
+    # one Var per name, built here so that Var checks every name, and shared
+    # by every node of the result that reads it
+    shared: dict = {name: Var(name) for name in names}
+    result = _compact(f.entries, names, shared)
+    # a formula just built shares no node with an earlier tabulation, so
+    # the re-check leaves truth_table's last memo in place
+    if _tabulate(result, names) != f:
+        raise RuntimeError("compact synthesis changed the realized table")
+    return result
 
 
 @functools.cache

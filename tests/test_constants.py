@@ -60,8 +60,10 @@ Z, R, S, O = ELEMENTS
 
 
 def table_formula(entries: str) -> str:
-    """A formula realizing the unary table given by four entry tokens."""
-    return format_formula(synthesize(FuncTable.from_text(f"1:{entries}")))
+    """A formula in p1 realizing the unary table given by four entry tokens;
+    a constant table synthesizes to a bare constant, so it gets p1 & 0."""
+    text = format_formula(synthesize(FuncTable.from_text(f"1:{entries}")))
+    return text if "p1" in text else f"{text} | p1 & 0"
 
 
 def system(**overrides: str) -> TwelveSystem:
@@ -136,7 +138,7 @@ def test_from_tables_round_trip():
 def test_from_tables_keeps_the_checked_tables(monkeypatch):
     # construction checks each input table and keeps it; no formula is
     # tabulated, and a member's formula is only made on first read, where
-    # synthesize(simplify=True) compares its table with the member's
+    # synthesize compares its table with the member's
     tables = canned_system().tables()
     inputs = {i: tables[f"F{i}"] for i in range(1, 13)}
 
@@ -987,7 +989,7 @@ def test_four_expansions_tabulate_their_shared_nodes_once():
 
 
 def test_a_synthesize_check_between_tabulations_keeps_the_reuse():
-    # synthesize's simplify re-check tabulates a formula it has just built;
+    # synthesize's re-check tabulates a formula it has just built;
     # it neither reads nor replaces the memo the next tabulation reuses,
     # also when it tabulates over the same var_order
     sysm = TwelveSystem.from_tables(random_twelve_tables(make_rng(45)))
@@ -1003,8 +1005,8 @@ def test_a_synthesize_check_between_tabulations_keeps_the_reuse():
         return compound_nodes_valued(truth_table, second, ("p",))[1]
 
     def synthesize_both():
-        synthesize(negation, ("p",), simplify=True)
-        synthesize(implication, simplify=True)
+        synthesize(negation, ("p",))
+        synthesize(implication)
 
     for first, second in zip(expansions, expansions[1:]):
         plain = second_of_two(first, second, lambda: None)

@@ -1,4 +1,4 @@
-"""Selector construction and table synthesis round-trips."""
+"""Table synthesis: the slice join, its least-size unary atlas and round-trips."""
 
 import hashlib
 import itertools
@@ -8,17 +8,15 @@ import pytest
 
 from conftest import distinct_nodes, make_rng
 from magari4.algebra import ELEMENTS, Connective, delta, join, meet
+from magari4.cli import run
 from magari4.formula import (
     Binary,
     Const,
     Unary,
     Var,
-    box_formula,
     evaluate,
     format_formula,
     free_vars,
-    iff_formula,
-    parse,
     tree_size,
     truth_table,
 )
@@ -28,42 +26,20 @@ from magari4.preservation import (
     delta_pairing_relation,
     random_delta_preserving_table,
 )
-from magari4.synthesis import NotRepresentable, _selector, synthesize
+from magari4.synthesis import NotRepresentable, synthesize
 from magari4.tables import FuncTable, points
 
 Z, R, S, O = ELEMENTS
 
 
 # ---------------------------------------------------------------------------
-# The selector conjunction
+# The slice join
 # ---------------------------------------------------------------------------
 
 
-def test_selector_one_variable_cases():
-    f = _selector((Z,), S, ("p",), {})
-    assert evaluate(f, {"p": Z}) is S  # exact hit
-    assert evaluate(f, {"p": R}) is S  # same class, different value
-    assert evaluate(f, {"p": O}) is Z  # class broken
-    assert evaluate(f, {"p": S}) is Z
-
-
-def test_selector_case_law_exhaustive():
-    # value delta on the hit, s & delta on same-class misses, 0 otherwise
-    for alpha in points(2):
-        for d in ELEMENTS:
-            f = _selector(alpha, d, ("p1", "p2"), {})
-            for pt in points(2):
-                got = evaluate(f, dict(zip(("p1", "p2"), pt)))
-                if pt == alpha:
-                    assert got is d
-                elif all(delta(x) is delta(a) for x, a in zip(pt, alpha)):
-                    assert got is meet(S, d)
-                else:
-                    assert got is Z
-
-
 def test_final_collapse_identity():
-    # d | 0 | (s & d') = d for every same-class pair (d, d')
+    # d | 0 | (s & d') = d for every same-class pair (d, d'): at p1 = a the
+    # slice join reads f_a | (s & f_a') | 0 with f_a' in f_a's class
     pairs = [
         (d, d2)
         for d in ELEMENTS
@@ -90,9 +66,7 @@ def test_synthesize_delta_and_identity():
 
 def test_synthesize_all_unary_tables_round_trip():
     for table in delta_preserving_tables(1):
-        for simplify in (False, True):
-            f = synthesize(table, simplify=simplify)
-            assert truth_table(f, ("p1",)) == table
+        assert truth_table(synthesize(table), ("p1",)) == table
 
 
 def test_synthesize_rejects_exactly_the_violating_tables():
@@ -131,44 +105,10 @@ def test_synthesize_binary_spot_and_random():
     meet_table = FuncTable(
         2, tuple(meet(x, y) for x, y in points(2))
     )
-    for simplify in (False, True):
-        assert truth_table(synthesize(meet_table, simplify=simplify), ("p1", "p2")) == meet_table
+    assert truth_table(synthesize(meet_table), ("p1", "p2")) == meet_table
     for _ in range(40):
         table = random_delta_preserving_table(2, rng)
-        for simplify in (False, True):
-            assert truth_table(synthesize(table, simplify=simplify), ("p1", "p2")) == table
-
-
-def test_synthesize_builds_each_clause_once():
-    # the unsimplified binary output needs [](p_i <-> a) for both p_i and
-    # all four a: 4n = 8 clauses, each one object shared by its selectors
-    table = random_delta_preserving_table(2, make_rng(31))
-    clauses = [
-        node
-        for node in distinct_nodes(synthesize(table)).values()
-        if isinstance(node, Binary)
-        and isinstance(node.right, Unary)
-        and node.right.op is Connective.DELTA
-        and node.right.child is node.left
-    ]
-    assert len(clauses) == 8
-    assert set(clauses) == {
-        box_formula(iff_formula(Var(name), Const(a)))
-        for name in ("p1", "p2")
-        for a in ELEMENTS
-    }
-
-
-def test_synthesize_builds_each_constant_leaf_once():
-    # one Const object per value, shared by the clauses and the selectors
-    nodes = distinct_nodes(synthesize(random_delta_preserving_table(2, make_rng(31))))
-    consts = [node for node in nodes.values() if isinstance(node, Const)]
-    assert len(consts) == 4 and {c.value for c in consts} == set(ELEMENTS)
-    # 16 selectors of 2 AND nodes, 15 ORs, 8 clauses of 5 compound nodes,
-    # one Var per variable shared by its 4 clauses, and the 4 constants
-    assert len(nodes) == 93
-    variables = [node for node in nodes.values() if isinstance(node, Var)]
-    assert sorted(v.name for v in variables) == ["p1", "p2"]
+        assert truth_table(synthesize(table), ("p1", "p2")) == table
 
 
 @pytest.mark.parametrize("simplify", [False, True])
@@ -179,20 +119,35 @@ def test_synthesize_refuses_a_repeated_variable_name(simplify):
     with pytest.raises(ValueError, match="duplicate variable name"):
         synthesize(table, ("p", "p"), simplify=simplify)
     assert truth_table(synthesize(table, ("p", "q"), simplify=simplify), ("p", "q")) == table
+    # a reserved or malformed name is refused also where the formula would
+    # not read it: a constant table, and one that ignores p2
+    for text, names in (("1:1111", ("rho",)), ("1:1111", ("9x",)),
+                        ("2:ssss11110000rrrr", ("p", "sigma")),
+                        ("2:ssss11110000rrrr", ("p", "9x"))):
+        with pytest.raises(ValueError, match="reserved for a constant|not a valid variable"):
+            synthesize(FuncTable.from_text(text), names, simplify=simplify)
 
 
-def test_simplify_preserves_table():
+def test_simplify_preserves_table(capsys):
+    # simplify= and the CLI's --simplify are accepted and select nothing
     rng = make_rng(9)
-    for _ in range(40):
-        table = random_delta_preserving_table(1, rng)
-        f = synthesize(table, simplify=True)
-        assert truth_table(f, ("p1",)) == table
+    for arity in (1, 2, 3):
+        for _ in range(10):
+            table = random_delta_preserving_table(arity, rng)
+            f = synthesize(table)
+            assert synthesize(table, simplify=False) == f == synthesize(table, simplify=True)
+            assert truth_table(f, tuple(f"p{i}" for i in range(1, arity + 1))) == table
     zero = FuncTable(1, (Z, Z, Z, Z))
-    assert format_formula(synthesize(zero, simplify=True)) == "0"
+    assert format_formula(synthesize(zero)) == "0"
+    text = "2:0rs1rr11ss111111"
+    assert run(["synthesize", "--table", text, "--simplify"]) == 0
+    flagged = capsys.readouterr().out
+    assert run(["synthesize", "--table", text]) == 0
+    assert capsys.readouterr().out == flagged == format_formula(synthesize(FuncTable.from_text(text))) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# Compact synthesis (simplify=True)
+# Compact synthesis: the unary atlas and the slice join
 # ---------------------------------------------------------------------------
 
 
@@ -235,7 +190,7 @@ def test_compact_unary_formulas_are_least():
     least = _least_sizes()
     assert len(least) == 64 and max(least.values()) == 12
     for table in delta_preserving_tables(1):
-        f = synthesize(table, ("p",), simplify=True)
+        f = synthesize(table, ("p",))
         assert tuple(evaluate(f, {"p": x}) for x in ELEMENTS) == table.entries
         assert tree_size(f) == least[table.entries]
 
@@ -246,11 +201,11 @@ def test_compact_synthesis_round_trips_arity_3_and_constants():
     names = ("x", "y", "z")
     for _ in range(60):
         table = random_delta_preserving_table(3, rng)
-        assert truth_table(synthesize(table, names, simplify=True), names) == table
+        assert truth_table(synthesize(table, names), names) == table
     for arity in (1, 2, 3):
         for value in ELEMENTS:
             constant = FuncTable(arity, (value,) * 4**arity)
-            assert synthesize(constant, names[:arity], simplify=True) == Const(value)
+            assert synthesize(constant, names[:arity]) == Const(value)
 
 
 def test_compact_synthesis_builds_each_unary_node_once():
@@ -259,7 +214,7 @@ def test_compact_synthesis_builds_each_unary_node_once():
     rng = make_rng(47)
     for arity in (2, 3):
         for _ in range(10):
-            f = synthesize(random_delta_preserving_table(arity, rng), simplify=True)
+            f = synthesize(random_delta_preserving_table(arity, rng))
             keys = []
             for node in distinct_nodes(f).values():
                 names = tuple(sorted(free_vars(node)))
@@ -281,18 +236,9 @@ def test_synthesize_custom_variable_names():
         synthesize(table, var_names=("x", "y"))
 
 
-def test_structure_is_join_of_selectors():
-    # the unsimplified output joins one selector per argument tuple
-    table = FuncTable.from_text("1:ss11")
-    text = format_formula(synthesize(table))
-    assert text.count("#(") == 4  # one boxed equivalence clause per tuple
-    reparsed = parse(text)
-    assert truth_table(reparsed, ("p1",)) == table
-
-
 # sha256 of the printed synthesized formulas below; a change to how
 # synthesize builds its formulas must leave every printed byte as it was
-SYNTHESIS_DIGEST = "6054a7b119e666b267973e239adc3775e03be0d703742d430ea76e5629c59f2e"
+SYNTHESIS_DIGEST = "5f43a7fc134a2ba4cd17807674725ea36a0bb6f71014537a88c8fd9d13bf88c2"
 
 
 def test_synthesized_text_digest_pinned():
@@ -302,7 +248,6 @@ def test_synthesized_text_digest_pinned():
     for arity in (1, 2, 3):
         for _ in range(8):
             table = random_delta_preserving_table(arity, rng)
-            for simplify in (False, True):
-                text = format_formula(synthesize(table, simplify=simplify))
-                digest.update(text.encode() + b"\n")
+            text = format_formula(synthesize(table))
+            digest.update(text.encode() + b"\n")
     assert digest.hexdigest() == SYNTHESIS_DIGEST
