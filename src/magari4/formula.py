@@ -43,8 +43,8 @@ a node that the previous call valued is not valued again; the four
 expanded constants of one system, tabulated in turn, share most of their
 nodes.  Holding the root keeps the last tabulated formula, and the tables
 of its nodes, alive until the next successful call replaces the slot.
-`synthesize`'s re-check goes through `_tabulate`, the same walk without
-the slot.
+`synthesize` builds its atlas nodes once per process, so they may sit in
+the slot; its re-check goes through `_tabulate`, which walks without it.
 
 Variables are identifiers (letter, then letters/digits/underscore); `rho`
 and `sigma` are reserved for the constants, so `r` and `s` remain usable as
@@ -237,14 +237,16 @@ def _dag_hash(node: tuple) -> int:
 
 
 def _dag_eq(f: tuple, g: object) -> bool:
-    """Structural equality: each distinct shape of either side is numbered
+    """Structural equality: roots that differ in head (node[0]) or length
+    differ at once; otherwise each distinct shape of either side is numbered
     once, in one dict, so the sides are equal iff their roots' numbers are.
-    A node never equals a plain tuple, which would otherwise compare it
-    element by element."""
+    A node never equals a plain tuple, which would compare it by elements."""
     if g is f:
         return True
     if type(g) is not type(f):
         return False if isinstance(g, tuple) else NotImplemented
+    if g[0] != f[0] or len(g) != len(f):
+        return False
     shapes: dict = {}
 
     def number(key) -> int:

@@ -15,7 +15,8 @@ from __future__ import annotations
 import functools
 
 from .algebra import ELEMENTS, Connective, Element
-from .formula import Binary, Const, Formula, Unary, Var, _tabulate, packed_connectives
+from .formula import (MAX_TABLE_VARS, Binary, Const, Formula, Unary, Var, _tabulate,
+                      packed_connectives)
 from .preservation import (column_text, delta_pairing_relation, find_violation,
                            preserves_delta_pairing)
 from .tables import FuncTable, constant_table, pack, projection_packed
@@ -26,11 +27,8 @@ class NotRepresentable(ValueError):
     formula realizes it."""
 
 
-def _leaf(kind: type, key: str | Element, shared: dict) -> Formula:
-    # a name (a str) never equals a value (an int) or a (name, table) key
-    if key not in shared:
-        shared[key] = kind(key)
-    return shared[key]
+_CONSTS = tuple(map(Const, ELEMENTS))  # the one Const of each value
+_PROJECTION = projection_packed(1, 0)
 
 
 def default_var_names(arity: int) -> tuple[str, ...]:
@@ -65,12 +63,11 @@ def synthesize(
         raise ValueError(f"need {f.arity} variable name(s), got {len(names)}")
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate variable name in {list(names)}")
-    # one Var per name, built here so that Var checks every name, and shared
-    # by every node of the result that reads it
-    shared: dict = {name: Var(name) for name in names}
-    result = _compact(f.entries, names, shared)
-    # a formula just built shares no node with an earlier tabulation, so
-    # the re-check leaves truth_table's last memo in place
+    for name in names:  # each name's Var, built here so that Var checks every name
+        _unary(_PROJECTION, name)
+    result = _compact(f.entries, names)
+    # atlas nodes are built once per process and may sit in truth_table's last
+    # memo; the re-check walks the whole result with no memo, and leaves that one
     if _tabulate(result, names) != f:
         raise RuntimeError("compact synthesis changed the realized table")
     return result
@@ -84,7 +81,7 @@ def _atlas() -> dict[int, tuple]:
     formula's operands may be least formulas of their own tables."""
     unary, binary = packed_connectives(1)
     atlas = {pack(constant_table(v)): (Const, v) for v in ELEMENTS}
-    atlas[projection_packed(1, 0)] = (Var,)
+    atlas[_PROJECTION] = (Var,)
     by_size = [[], list(atlas)]  # the tables first reached at each size
     while len(atlas) < 64:
         n, known = len(by_size), len(atlas)
@@ -97,30 +94,29 @@ def _atlas() -> dict[int, tuple]:
     return atlas
 
 
-def _unary(table: int, name: str, shared: dict) -> Formula:
-    """The atlas formula of a packed unary table over name, built once per shared dict."""
-    if (name, table) not in shared:
-        op, *args = _atlas()[table]
-        if op is Var or op is Const:
-            node = _leaf(op, args[0] if args else name, shared)
-        else:
-            kind = Unary if len(args) == 1 else Binary
-            node = kind(op, *[_unary(t, name, shared) for t in args])
-        shared[name, table] = node
-    return shared[name, table]
+@functools.lru_cache(maxsize=MAX_TABLE_VARS * 64)  # 64 tables a name: no call evicts its own
+def _unary(table: int, name: str) -> Formula:
+    """The atlas formula of a packed unary table over name, built once per
+    process while cached, as are its operands, which come from this cache."""
+    op, *args = _atlas()[table]
+    if op is Var:
+        return Var(name)
+    if op is Const:
+        return _CONSTS[args[0]]
+    return (Unary if len(args) == 1 else Binary)(op, *[_unary(t, name) for t in args])
 
 
-def _compact(entries: tuple[Element, ...], names: tuple[str, ...], shared: dict) -> Formula:
+def _compact(entries: tuple[Element, ...], names: tuple[str, ...]) -> Formula:
     """The compact synthesis of the module docstring; a ^ 1 is a's partner."""
     if len(names) == 1:
-        return _unary(int.from_bytes(bytes(entries), "little"), names[0], shared)
+        return _unary(int.from_bytes(bytes(entries), "little"), names[0])
     if len(set(entries)) == 1:
-        return _leaf(Const, entries[0], shared)
+        return _CONSTS[entries[0]]
     width, terms = len(entries) // 4, []
     for a in ELEMENTS:
         part = entries[a * width : (a + 1) * width]
         if part.count(Element.ZERO) < width:
-            s_a = _unary(3 << 8 * a | 2 << 8 * (a ^ 1), names[0], shared)
+            s_a = _unary(3 << 8 * a | 2 << 8 * (a ^ 1), names[0])
             terms.append(s_a if part.count(Element.ONE) == width else
-                         Binary(Connective.AND, s_a, _compact(part, names[1:], shared)))
+                         Binary(Connective.AND, s_a, _compact(part, names[1:])))
     return functools.reduce(functools.partial(Binary, Connective.OR), terms)

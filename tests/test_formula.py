@@ -481,6 +481,23 @@ def test_a_formula_equals_itself_without_a_walk(monkeypatch):
     assert chain == chain and not chain != chain
 
 
+def test_roots_with_different_heads_or_lengths_differ_without_a_walk(monkeypatch):
+    chain, t = _chain(200_000, True), TermVar("t")
+    pairs = (
+        (Binary(Connective.AND, chain, chain), Binary(Connective.OR, chain, chain)),
+        (Unary(Connective.NOT, chain), Unary(Connective.DELTA, chain)),
+        (TermApply("F1", (t,)), TermApply("F2", (t,))),
+        (TermApply("F1", (t,)), TermApply("F1", (t, t))),
+    )
+
+    def no_fold(*args):
+        raise AssertionError("== walked two roots that differ at the root")
+
+    monkeypatch.setattr(formula, "_dag_fold", no_fold)
+    for f, g in pairs:
+        assert f != g and g != f and not f == g
+
+
 def test_a_node_never_equals_a_plain_tuple():
     p, t = Var("p"), TermVar("p")
     for node, fields in (

@@ -1,15 +1,19 @@
 """Table synthesis: the slice join, its least-size unary atlas and round-trips."""
 
+import copy
 import hashlib
 import itertools
+import pickle
 import random
 
 import pytest
 
 from conftest import distinct_nodes, make_rng
+from magari4 import synthesis
 from magari4.algebra import ELEMENTS, Connective, delta, join, meet
 from magari4.cli import run
 from magari4.formula import (
+    MAX_TABLE_VARS,
     Binary,
     Const,
     Unary,
@@ -221,6 +225,69 @@ def test_compact_synthesis_builds_each_unary_node_once():
                 if len(names) <= 1:
                     keys.append((names, truth_table(node, names)))
             assert len(set(keys)) == len(keys) > 4
+
+
+def test_synthesize_shares_each_atlas_node_across_calls():
+    # each (variable, unary table) atlas formula is one node object for the
+    # process: every call over the same names reuses it.  A unary call
+    # returns it; a wider call holds it wherever its formula holds an equal
+    # node.  (The join's own & and | nodes, built per call, never equal an
+    # atlas formula: of the 251 one-variable forms S_a & c and their
+    # |-joins, none does.)
+    rng = make_rng(59)
+    atlas = {(name, table): synthesize(table, (name,))
+             for name in ("x", "y", "z") for table in delta_preserving_tables(1)}
+    for arity, names in ((2, ("x", "y")), (3, ("x", "y", "z")), (2, ("z", "x"))) * 5:
+        f = synthesize(random_delta_preserving_table(arity, rng), names)
+        reused = 0
+        for node in distinct_nodes(f).values():
+            used = tuple(sorted(free_vars(node)))
+            if len(used) == 1:
+                known = atlas[used[0], truth_table(node, used)]
+                assert node is known or node != known
+                reused += node is known
+        assert reused > 4
+    for (name, table), node in atlas.items():
+        assert synthesize(table, (name,)) is node
+
+
+def test_shared_nodes_keep_identity_keyed_memos_correct():
+    # synthesized formulas share nodes with earlier ones, so truth_table's
+    # last memo may already hold some of them; each table must still match
+    # a pointwise reference, also after the cache drops its nodes and for
+    # copies that share none
+    rng = make_rng(61)
+    orders = (("x", "y"), ("y", "x"))
+    for step in range(300):
+        if step == 150:
+            synthesis._unary.cache_clear()
+        table = random_delta_preserving_table(2, rng)
+        names = orders[step % 2]
+        f = synthesize(table, names)
+        if step % 50 == 7:
+            f = copy.deepcopy(f)
+        elif step % 50 == 31:
+            f = pickle.loads(pickle.dumps(f))
+        for order in orders if step % 3 else orders[::-1]:
+            reference = tuple(evaluate(f, dict(zip(order, xs))) for xs in points(2))
+            assert truth_table(f, order).entries == reference
+        assert truth_table(f, names) == table
+
+
+def test_the_unary_cache_is_bounded_and_caches_no_refusal():
+    bound = synthesis._unary.cache_info().maxsize
+    assert bound >= MAX_TABLE_VARS * 64  # one call never evicts its own nodes
+    tables = list(delta_preserving_tables(1))
+    for i in range(200):  # 200 names of 64 tables each overflow the bound
+        name = f"v{i}"
+        for table in tables:
+            assert truth_table(synthesize(table, (name,)), (name,)) == table
+        assert synthesis._unary.cache_info().currsize <= bound
+    assert synthesis._unary.cache_info().currsize == bound < 200 * 64
+    for table in (FuncTable.from_text("1:0rs1"), FuncTable.from_text("1:1111")):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="reserved for a constant"):
+                synthesize(table, ("rho",))
 
 
 def test_synthesize_deterministic():
