@@ -44,7 +44,8 @@ expanded constants of one system, tabulated in turn, share most of their
 nodes.  Holding the root keeps the last tabulated formula, and the tables
 of its nodes, alive until the next successful call replaces the slot.
 `synthesize` builds its atlas nodes once per process, so they may sit in
-the slot; its re-check goes through `_tabulate`, which walks without it.
+the slot; its re-check goes through `_tabulate`, which never reads the
+slot, and takes each atlas node's table from that node's own walk.
 
 Variables are identifiers (letter, then letters/digits/underscore); `rho`
 and `sigma` are reserved for the constants, so `r` and `s` remain usable as
@@ -539,7 +540,8 @@ def truth_table(f: Formula, var_order: Sequence[str]) -> FuncTable:
     var_order = tuple(var_order)
     last = _last  # held for the call, so its root outlives a replacement
     memo: dict = {}
-    table = _tabulate(f, var_order, last[2] if last[0] == var_order else _NOTHING, memo)
+    known = last[2] if last[0] == var_order else _NOTHING
+    table = unpack(_tabulate(f, var_order, known, memo), len(var_order))
     _last = (var_order, f, memo)
     return table
 
@@ -556,9 +558,9 @@ def packed_connectives(n: int) -> tuple[Callable, Callable]:
 
 def _tabulate(
     f: Formula, var_order: tuple[str, ...], known: Mapping = _NOTHING, memo: dict | None = None
-) -> FuncTable:
-    """truth_table without reading or replacing its last call's memo;
-    known and memo go to _fold."""
+) -> int:
+    """truth_table's table, packed, without reading or replacing its last
+    call's memo; known and memo go to _fold."""
     if len(set(var_order)) != len(var_order):
         raise ValueError("duplicate variable in var_order")
     n = len(var_order)
@@ -569,13 +571,13 @@ def _tabulate(
     env = {name: projection_packed(n, i) for i, name in enumerate(var_order)}
     lo = packed_masks(n)[1]
     try:
-        return unpack(_fold(
+        return _fold(
             f,
             lambda node: env[node.name] if type(node) is Var else lo * node.value,
             *packed_connectives(n),
             known,
             memo,
-        ), n)
+        )
     except KeyError:  # a variable outside var_order; name every one of them
         missing = sorted(free_vars(f) - set(var_order))
         raise ValueError(f"var_order misses free variable(s): {missing}") from None

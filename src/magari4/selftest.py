@@ -2,7 +2,8 @@
 
 Covers the four defining identities, validity of the modal axioms, the
 64-element unary clone, consistency of the unary-operation catalogue with
-the built-in relations, synthesis round-trips, and end-to-end constant
+the built-in relations, synthesis round-trips (seeded binary and ternary
+tables confirmed point by point with evaluate), and end-to-end constant
 derivation (one canned system plus a seeded randomized batch).
 """
 
@@ -13,7 +14,7 @@ import random
 from .algebra import ELEMENTS, Element, magari_identity_report
 from .closure import expressible_constants
 from .constants import TwelveSystem, derive_all_constants
-from .formula import free_vars, parse, truth_table
+from .formula import evaluate, free_vars, parse, truth_table
 from .preservation import (
     builtin_relation,
     delta_preserving_tables,
@@ -21,8 +22,8 @@ from .preservation import (
     i_op,
     random_delta_preserving_table,
 )
-from .synthesis import NotRepresentable, synthesize
-from .tables import FuncTable, constant_table
+from .synthesis import NotRepresentable, default_var_names, synthesize
+from .tables import FuncTable, constant_table, points
 
 GL_AXIOMS: tuple[str, ...] = (
     "# (p -> q) -> (# p -> # q)",
@@ -68,6 +69,7 @@ DEFAULT_SEED = 1789
 _RANDOM_SYSTEMS = 25
 _ARITIES = (1, 2)
 _MAX_TRIES = 10_000
+_ROUND_TRIPS = {2: 300, 3: 5}  # random tables synthesized per arity
 
 
 def canned_system() -> TwelveSystem:
@@ -108,9 +110,16 @@ def _catalogue_consistent() -> bool:
     return graph == frozenset(builtin_relation(11).columns)
 
 
-def _unary_roundtrip() -> bool:
-    return all(truth_table(synthesize(table), ("p1",)) == table
-               for table in delta_preserving_tables(1))
+def _round_trips(tables) -> bool:
+    """Each table through synthesize, the result confirmed point by point
+    with evaluate, which keeps no memo across calls."""
+    for table in tables:
+        names = default_var_names(table.arity)
+        f = synthesize(table, names)
+        if any(evaluate(f, dict(zip(names, pt))) is not e
+               for pt, e in zip(points(table.arity), table.entries)):
+            return False
+    return True
 
 
 def _rejects_breaker() -> bool:
@@ -162,7 +171,14 @@ def run_selftest(seed: int = DEFAULT_SEED) -> list[tuple[str, bool]]:
     )
     checks.append(
         ("synthesis round-trips all 64 delta-respecting unary tables",
-         _unary_roundtrip())
+         _round_trips(delta_preserving_tables(1)))
+    )
+    rng = random.Random(seed)
+    random_tables = [random_delta_preserving_table(arity, rng)
+                     for arity, count in _ROUND_TRIPS.items() for _ in range(count)]
+    checks.append(
+        (f"synthesis round-trips {_ROUND_TRIPS[2]} random binary and {_ROUND_TRIPS[3]} "
+         f"ternary tables (seed {seed})", _round_trips(random_tables))
     )
     checks.append(("synthesis rejects a class-breaking table", _rejects_breaker()))
     derived_ok, expansion_ok, oracle_ok = _canned_checks()

@@ -41,7 +41,8 @@ def synthesize(
     simplify: bool = False,
 ) -> Formula:
     """A formula whose truth table is exactly f: the compact synthesis of
-    the module docstring, deterministic and re-checked against f.
+    the module docstring, deterministic and re-checked against f; the
+    re-check values the nodes this call built, on _root's atlas tables.
 
     Tables of arity 0 are rejected: use a constant formula.  Tables
     breaking the delta pairing raise NotRepresentable.  var_names holding
@@ -65,10 +66,12 @@ def synthesize(
         raise ValueError(f"duplicate variable name in {list(names)}")
     for name in names:  # each name's Var, built here so that Var checks every name
         _unary(_PROJECTION, name)
-    result = _compact(f.entries, names)
-    # atlas nodes are built once per process and may sit in truth_table's last
-    # memo; the re-check walks the whole result with no memo, and leaves that one
-    if _tabulate(result, names) != f:
+    flat, known = bytes(f.entries), {}
+    result = _compact(flat, names, known)
+    # known holds each atlas root's table over names from its own walk, and
+    # the re-check takes no other memo; a root alone is checked on its table
+    packed = known[id(result)] if id(result) in known else _tabulate(result, names, known)
+    if packed != int.from_bytes(flat, "little"):
         raise RuntimeError("compact synthesis changed the realized table")
     return result
 
@@ -106,17 +109,29 @@ def _unary(table: int, name: str) -> Formula:
     return (Unary if len(args) == 1 else Binary)(op, *[_unary(t, name) for t in args])
 
 
-def _compact(entries: tuple[Element, ...], names: tuple[str, ...]) -> Formula:
-    """The compact synthesis of the module docstring; a ^ 1 is a's partner."""
-    if len(names) == 1:
-        return _unary(int.from_bytes(bytes(entries), "little"), names[0])
-    if len(set(entries)) == 1:
-        return _CONSTS[entries[0]]
-    width, terms = len(entries) // 4, []
+@functools.lru_cache(maxsize=MAX_TABLE_VARS * 64)  # a call takes at most 4 * (n - 1) + 64
+def _root(table: int, i: int, names: tuple[str, ...]) -> tuple[Formula, int]:
+    """The atlas formula of a packed unary table over names[i], with its
+    packed table over names from walking that very node.  The entry holds
+    its node, so no id of a valued node is reused while it is cached."""
+    node = _unary(table, names[i])
+    return node, _tabulate(node, names)
+
+
+def _compact(flat: bytes, names: tuple[str, ...], known: dict, i: int = 0) -> Formula:
+    """The compact synthesis of the module docstring of the packed slice flat
+    over names[i:]; a ^ 1 is a's partner.  known gets id(node) and its
+    table over names for each atlas root the join holds."""
+    if i == len(names) - 1:
+        node, known[id(node)] = _root(int.from_bytes(flat, "little"), i, names)
+        return node
+    if flat.count(flat[0]) == len(flat):
+        return _CONSTS[flat[0]]
+    width, terms = len(flat) // 4, []
     for a in ELEMENTS:
-        part = entries[a * width : (a + 1) * width]
+        part = flat[a * width : (a + 1) * width]
         if part.count(Element.ZERO) < width:
-            s_a = _unary(3 << 8 * a | 2 << 8 * (a ^ 1), names[0])
+            s_a, known[id(s_a)] = _root(3 << 8 * a | 2 << 8 * (a ^ 1), i, names)
             terms.append(s_a if part.count(Element.ONE) == width else
-                         Binary(Connective.AND, s_a, _compact(part, names[1:])))
+                         Binary(Connective.AND, s_a, _compact(part, names, known, i + 1)))
     return functools.reduce(functools.partial(Binary, Connective.OR), terms)

@@ -1,6 +1,7 @@
 """Table synthesis: the slice join, its least-size unary atlas and round-trips."""
 
 import copy
+import gc
 import hashlib
 import itertools
 import pickle
@@ -9,7 +10,7 @@ import random
 import pytest
 
 from conftest import distinct_nodes, make_rng
-from magari4 import synthesis
+from magari4 import formula, selftest, synthesis
 from magari4.algebra import ELEMENTS, Connective, delta, join, meet
 from magari4.cli import run
 from magari4.formula import (
@@ -288,6 +289,87 @@ def test_the_unary_cache_is_bounded_and_caches_no_refusal():
         for _ in range(3):
             with pytest.raises(ValueError, match="reserved for a constant"):
                 synthesize(table, ("rho",))
+
+
+def test_a_corrupted_atlas_recipe_is_still_caught():
+    # the re-check takes each atlas root's table from walking that node, not
+    # from the recipe's key: a recipe whose formula no longer realizes its
+    # key makes synthesize refuse, in a slice and at the root
+    caches = (synthesis._atlas, synthesis._unary, synthesis._root)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        atlas = synthesis._atlas()
+        packed, (_, x, y) = next(
+            (t, r) for t, r in atlas.items() if r[0] is Connective.AND and len(r) == 3)
+        atlas[packed] = (Connective.OR, x, y)  # x != y in a least recipe
+        table = FuncTable(1, tuple(ELEMENTS[e] for e in packed.to_bytes(4, "little")))
+        wide = FuncTable(2, table.entries * 4)  # each slice at x = a is the table
+        with pytest.raises(RuntimeError, match="changed the realized table"):
+            synthesize(wide, ("x", "y"))
+        with pytest.raises(RuntimeError, match="changed the realized table"):
+            synthesize(table, ("y",))
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert truth_table(synthesize(wide, ("x", "y")), ("x", "y")) == wide
+
+
+def test_the_recheck_values_each_atlas_root_once_per_variable_order(monkeypatch):
+    # each atlas root's table over names is walked once, when the cache takes
+    # it in; after that a binary table's re-check values only the & and |
+    # nodes that its call built
+    synthesis._root.cache_clear()
+    rng = make_rng(67)
+    tables = [random_delta_preserving_table(2, rng) for _ in range(200)]
+    orders = (("x", "y"), ("y", "x"))
+    for step, table in enumerate(tables):
+        synthesize(table, orders[step % 2])
+    walked = synthesis._root.cache_info()
+    assert walked.misses == walked.currsize <= 2 * (4 + 64) < walked.hits
+    valued = []
+    connectives = formula.packed_connectives
+
+    def counting(n):
+        unary, binary = connectives(n)
+        return (lambda op, x: valued.append(op) or unary(op, x),
+                lambda op, x, y: valued.append(op) or binary(op, x, y))
+
+    monkeypatch.setattr(formula, "packed_connectives", counting)
+    for step, table in enumerate(tables):
+        valued.clear()
+        synthesize(table, orders[step % 2])
+        slices = [set(table.entries[4 * a : 4 * a + 4]) for a in range(4)]
+        terms = [s for s in slices if s != {Z}]
+        built = sum(s != {O} for s in terms) + len(terms) - 1  # the &s and |s
+        assert len(valued) == (0 if len(set(table.entries)) == 1 else built)
+    assert synthesis._root.cache_info().misses == walked.misses
+
+
+def test_the_root_cache_is_bounded_and_right_after_the_unary_cache_drops_its_nodes():
+    # the root cache holds each node with its table, so no node freed by the
+    # unary cache can pass its id to another; 300 tables over alternating
+    # orders of 12 names overflow the bound
+    bound = synthesis._root.cache_info().maxsize
+    synthesis._unary.cache_clear()
+    gc.collect()
+    rng = make_rng(71)
+    for step in range(300):
+        a, b = f"v{step // 2 % 12}", f"v{(step // 2 + 1) % 12}"
+        names = (a, b) if step % 2 else (b, a)
+        table = random_delta_preserving_table(2, rng)
+        f = synthesize(table, names)
+        assert tuple(evaluate(f, dict(zip(names, xs))) for xs in points(2)) == table.entries
+        assert synthesis._root.cache_info().currsize <= bound
+    assert synthesis._root.cache_info().currsize == bound
+
+
+def test_selftest_round_trips_confirm_each_point_with_evaluate(monkeypatch):
+    rng = make_rng(73)
+    tables = [random_delta_preserving_table(arity, rng) for arity in (2, 2, 3)]
+    assert selftest._round_trips(tables)
+    monkeypatch.setattr(selftest, "synthesize", lambda table, names: Var(names[-1]))
+    assert not selftest._round_trips(tables)
 
 
 def test_synthesize_deterministic():
