@@ -336,8 +336,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synthesize", help="build a formula realizing a table")
     p.add_argument("--table", required=True, help="table text <arity>:<entries>")
-    p.add_argument("--simplify", action="store_true",
-                   help="accepted and ignored: every formula is the compact one")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_synthesize)
 

@@ -43,9 +43,8 @@ a node that the previous call valued is not valued again; the four
 expanded constants of one system, tabulated in turn, share most of their
 nodes.  Holding the root keeps the last tabulated formula, and the tables
 of its nodes, alive until the next successful call replaces the slot.
-`synthesize` builds its atlas nodes once per process, so they may sit in
-the slot; its re-check goes through `_tabulate`, which never reads the
-slot, and takes each atlas node's table from that node's own walk.
+Atlas nodes of `synthesize` may sit in the slot; its re-check goes
+through `_tabulate`, which never reads or replaces the slot.
 
 Variables are identifiers (letter, then letters/digits/underscore); `rho`
 and `sigma` are reserved for the constants, so `r` and `s` remain usable as
@@ -126,9 +125,10 @@ def _fold(
     and is not descended into.  known is read only where the fold would
     otherwise descend, so a miss costs one lookup per compound node, and it
     is never written.  memo, if given, is the dict the fold fills: id(node)
-    to value, for each node it valued or took from known.  i, j and k hold
-    the ids of a node and of its left (or only) and right operands, each
-    taken once per visit."""
+    to value, for each node it valued or took from known; a memo that comes
+    pre-filled on known's terms values its nodes, f too, without a walk.
+    i, j and k hold the ids of a node and of its left (or only) and right
+    operands, each taken once per visit."""
     memo = {} if memo is None else memo
     get = memo.get
     stack = [f]

@@ -19,7 +19,7 @@ from .formula import (MAX_TABLE_VARS, Binary, Const, Formula, Unary, Var, _tabul
                       packed_connectives)
 from .preservation import (column_text, delta_pairing_relation, find_violation,
                            preserves_delta_pairing)
-from .tables import FuncTable, constant_table, pack, projection_packed
+from .tables import FuncTable, compose_lanes, constant_table, pack, projection_packed
 
 
 class NotRepresentable(ValueError):
@@ -40,25 +40,27 @@ def synthesize(
     var_names: list[str] | tuple[str, ...] | None = None,
     simplify: bool = False,
 ) -> Formula:
-    """A formula whose truth table is exactly f: the compact synthesis of
-    the module docstring, deterministic and re-checked against f; the
-    re-check values the nodes this call built, on _root's atlas tables.
+    """A formula whose truth table is exactly f: the module docstring's
+    compact synthesis, deterministic, re-checked on the & and | nodes it built.
 
-    Tables of arity 0 are rejected: use a constant formula.  Tables
-    breaking the delta pairing raise NotRepresentable.  var_names holding
-    a name twice, or a name that is reserved for a constant or malformed,
-    raise ValueError, also where f ignores that variable.  simplify is
-    accepted and selects nothing: there is one construction.
+    Tables of arity 0 (use a constant formula) or above MAX_TABLE_VARS are
+    refused before any work.  Tables breaking the delta pairing raise
+    NotRepresentable.  var_names holding a name twice, or a name that is
+    reserved for a constant or malformed, raise ValueError, also where f
+    ignores that variable.  simplify selects nothing; it stays accepted
+    because bench/ops.py passes it.
     """
     if f.arity == 0:
         raise ValueError("arity-0 table: use a constant formula directly")
+    if f.arity > MAX_TABLE_VARS:
+        raise ValueError(
+            f"a truth table over {f.arity} variables exceeds the cap of {MAX_TABLE_VARS}")
     if not preserves_delta_pairing(f):
         witness = find_violation(f, delta_pairing_relation())
         cols = ";".join(map(column_text, witness.selected_columns))
         raise NotRepresentable(
             f"table maps same-class inputs ({cols}) to distinct classes "
-            f"({column_text(witness.image)})"
-        )
+            f"({column_text(witness.image)})")
     names = tuple(var_names) if var_names is not None else default_var_names(f.arity)
     if len(names) != f.arity:
         raise ValueError(f"need {f.arity} variable name(s), got {len(names)}")
@@ -68,10 +70,8 @@ def synthesize(
         _unary(_PROJECTION, name)
     flat, known = bytes(f.entries), {}
     result = _compact(flat, names, known)
-    # known holds each atlas root's table over names from its own walk, and
-    # the re-check takes no other memo; a root alone is checked on its table
-    packed = known[id(result)] if id(result) in known else _tabulate(result, names, known)
-    if packed != int.from_bytes(flat, "little"):
+    # a memo pre-filled with each atlas root's table: only the join is valued
+    if _tabulate(result, names, memo=known) != int.from_bytes(flat, "little"):
         raise RuntimeError("compact synthesis changed the realized table")
     return result
 
@@ -99,23 +99,23 @@ def _atlas() -> dict[int, tuple]:
 
 @functools.lru_cache(maxsize=MAX_TABLE_VARS * 64)  # 64 tables a name: no call evicts its own
 def _unary(table: int, name: str) -> Formula:
-    """The atlas formula of a packed unary table over name, built once per
-    process while cached, as are its operands, which come from this cache."""
+    """The atlas formula of a packed unary table over name, walked over
+    (name,) and checked against table when built: the one cache of atlas
+    nodes, each built once per process while cached, operands included."""
     op, *args = _atlas()[table]
-    if op is Var:
-        return Var(name)
-    if op is Const:
-        return _CONSTS[args[0]]
-    return (Unary if len(args) == 1 else Binary)(op, *[_unary(t, name) for t in args])
+    node = (Var(name) if op is Var else _CONSTS[args[0]] if op is Const else
+            (Unary if len(args) == 1 else Binary)(op, *[_unary(t, name) for t in args]))
+    if _tabulate(node, (name,)) != table:
+        raise RuntimeError("compact synthesis changed the realized table")
+    return node
 
 
-@functools.lru_cache(maxsize=MAX_TABLE_VARS * 64)  # a call takes at most 4 * (n - 1) + 64
-def _root(table: int, i: int, names: tuple[str, ...]) -> tuple[Formula, int]:
-    """The atlas formula of a packed unary table over names[i], with its
-    packed table over names from walking that very node.  The entry holds
-    its node, so no id of a valued node is reused while it is cached."""
-    node = _unary(table, names[i])
-    return node, _tabulate(node, names)
+@functools.cache  # 4 * (n - 1) + 64 keys for each arity n <= MAX_TABLE_VARS
+def _lifted(table: int, n: int, i: int) -> int:
+    """The packed table over n variables of a packed unary table read at
+    position i, as any atlas node over the i-th name gives it: no node held."""
+    lanes = compose_lanes(table.to_bytes(4, "little"), (projection_packed(n, i),), 4**n)
+    return int.from_bytes(lanes, "little")
 
 
 def _compact(flat: bytes, names: tuple[str, ...], known: dict, i: int = 0) -> Formula:
@@ -123,7 +123,8 @@ def _compact(flat: bytes, names: tuple[str, ...], known: dict, i: int = 0) -> Fo
     over names[i:]; a ^ 1 is a's partner.  known gets id(node) and its
     table over names for each atlas root the join holds."""
     if i == len(names) - 1:
-        node, known[id(node)] = _root(int.from_bytes(flat, "little"), i, names)
+        node = _unary(table := int.from_bytes(flat, "little"), names[i])
+        known[id(node)] = _lifted(table, len(names), i)
         return node
     if flat.count(flat[0]) == len(flat):
         return _CONSTS[flat[0]]
@@ -131,7 +132,8 @@ def _compact(flat: bytes, names: tuple[str, ...], known: dict, i: int = 0) -> Fo
     for a in ELEMENTS:
         part = flat[a * width : (a + 1) * width]
         if part.count(Element.ZERO) < width:
-            s_a, known[id(s_a)] = _root(3 << 8 * a | 2 << 8 * (a ^ 1), i, names)
+            s_a = _unary(table := 3 << 8 * a | 2 << 8 * (a ^ 1), names[i])
+            known[id(s_a)] = _lifted(table, len(names), i)
             terms.append(s_a if part.count(Element.ONE) == width else
                          Binary(Connective.AND, s_a, _compact(part, names, known, i + 1)))
     return functools.reduce(functools.partial(Binary, Connective.OR), terms)

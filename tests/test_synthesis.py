@@ -134,7 +134,7 @@ def test_synthesize_refuses_a_repeated_variable_name(simplify):
 
 
 def test_simplify_preserves_table(capsys):
-    # simplify= and the CLI's --simplify are accepted and select nothing
+    # simplify= is accepted and selects nothing; the CLI has no --simplify
     rng = make_rng(9)
     for arity in (1, 2, 3):
         for _ in range(10):
@@ -144,11 +144,8 @@ def test_simplify_preserves_table(capsys):
             assert truth_table(f, tuple(f"p{i}" for i in range(1, arity + 1))) == table
     zero = FuncTable(1, (Z, Z, Z, Z))
     assert format_formula(synthesize(zero)) == "0"
-    text = "2:0rs1rr11ss111111"
-    assert run(["synthesize", "--table", text, "--simplify"]) == 0
-    flagged = capsys.readouterr().out
-    assert run(["synthesize", "--table", text]) == 0
-    assert capsys.readouterr().out == flagged == format_formula(synthesize(FuncTable.from_text(text))) + "\n"
+    assert run(["synthesize", "--table", "2:0rs1rr11ss111111", "--simplify"]) == 2
+    assert "unrecognized arguments: --simplify" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +288,32 @@ def test_the_unary_cache_is_bounded_and_caches_no_refusal():
                 synthesize(table, ("rho",))
 
 
+def test_a_wider_call_shares_the_unary_node_after_the_cache_drops_it():
+    # _unary is the one owner of atlas nodes: once it drops them, a wider
+    # call takes the node a unary call built since, not a copy kept elsewhere
+    wide = FuncTable.from_text("2:" + "ss11" * 4)  # each slice at x = a is 1:ss11
+    synthesize(wide, ("x", "y"))  # every cache takes its entries in
+    synthesis._unary.cache_clear()
+    u = synthesize(FuncTable.from_text("1:ss11"), ("y",))
+    f = synthesize(wide, ("x", "y"))
+    assert sum(node is u for node in distinct_nodes(f).values()) == 1
+
+
+def test_synthesize_refuses_a_table_over_the_cap_before_any_work():
+    n = MAX_TABLE_VARS + 1
+    before = synthesis._lifted.cache_info().currsize
+    message = f"^a truth table over {n} variables exceeds the cap of {MAX_TABLE_VARS}$"
+    for table in (FuncTable(n, (S,) * 4**n), FuncTable(n, ELEMENTS * 4 ** (n - 1))):
+        with pytest.raises(ValueError, match=message):
+            synthesize(table)
+    assert synthesis._lifted.cache_info().currsize == before
+
+
 def test_a_corrupted_atlas_recipe_is_still_caught():
-    # the re-check takes each atlas root's table from walking that node, not
-    # from the recipe's key: a recipe whose formula no longer realizes its
-    # key makes synthesize refuse, in a slice and at the root
-    caches = (synthesis._atlas, synthesis._unary, synthesis._root)
+    # _unary walks each node it builds and checks it against its key, and
+    # the re-check trusts the keys: a recipe whose formula no longer
+    # realizes its key makes synthesize refuse, in a slice and at the root
+    caches = (synthesis._atlas, synthesis._unary, synthesis._lifted)
     for cache in caches:
         cache.cache_clear()
     try:
@@ -316,17 +334,17 @@ def test_a_corrupted_atlas_recipe_is_still_caught():
 
 
 def test_the_recheck_values_each_atlas_root_once_per_variable_order(monkeypatch):
-    # each atlas root's table over names is walked once, when the cache takes
-    # it in; after that a binary table's re-check values only the & and |
-    # nodes that its call built
-    synthesis._root.cache_clear()
+    # each atlas root's table over names is lifted once per (table, arity,
+    # position), whatever the order; after that a binary table's re-check
+    # values only the & and | nodes that its call built
+    synthesis._lifted.cache_clear()
     rng = make_rng(67)
     tables = [random_delta_preserving_table(2, rng) for _ in range(200)]
     orders = (("x", "y"), ("y", "x"))
     for step, table in enumerate(tables):
         synthesize(table, orders[step % 2])
-    walked = synthesis._root.cache_info()
-    assert walked.misses == walked.currsize <= 2 * (4 + 64) < walked.hits
+    walked = synthesis._lifted.cache_info()
+    assert walked.misses == walked.currsize <= 4 + 64 < walked.hits
     valued = []
     connectives = formula.packed_connectives
 
@@ -343,14 +361,14 @@ def test_the_recheck_values_each_atlas_root_once_per_variable_order(monkeypatch)
         terms = [s for s in slices if s != {Z}]
         built = sum(s != {O} for s in terms) + len(terms) - 1  # the &s and |s
         assert len(valued) == (0 if len(set(table.entries)) == 1 else built)
-    assert synthesis._root.cache_info().misses == walked.misses
+    assert synthesis._lifted.cache_info().misses == walked.misses
 
 
 def test_the_root_cache_is_bounded_and_right_after_the_unary_cache_drops_its_nodes():
-    # the root cache holds each node with its table, so no node freed by the
-    # unary cache can pass its id to another; 300 tables over alternating
-    # orders of 12 names overflow the bound
-    bound = synthesis._root.cache_info().maxsize
+    # the table cache holds no node and no name, so 300 tables over
+    # alternating orders of 12 names, after the unary cache drops its nodes,
+    # take at most 4 + 64 entries: the S_a at position 0, any table at 1
+    synthesis._lifted.cache_clear()
     synthesis._unary.cache_clear()
     gc.collect()
     rng = make_rng(71)
@@ -360,8 +378,7 @@ def test_the_root_cache_is_bounded_and_right_after_the_unary_cache_drops_its_nod
         table = random_delta_preserving_table(2, rng)
         f = synthesize(table, names)
         assert tuple(evaluate(f, dict(zip(names, xs))) for xs in points(2)) == table.entries
-        assert synthesis._root.cache_info().currsize <= bound
-    assert synthesis._root.cache_info().currsize == bound
+    assert synthesis._lifted.cache_info().currsize <= 4 + 64
 
 
 def test_selftest_round_trips_confirm_each_point_with_evaluate(monkeypatch):
