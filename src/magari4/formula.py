@@ -43,8 +43,8 @@ a node that the previous call valued is not valued again; the four
 expanded constants of one system, tabulated in turn, share most of their
 nodes.  Holding the root keeps the last tabulated formula, and the tables
 of its nodes, alive until the next successful call replaces the slot.
-Atlas nodes of `synthesize` may sit in the slot; its re-check goes
-through `_tabulate`, which never reads or replaces the slot.
+Atlas nodes of `synthesize` may sit in the slot; its checks go through
+`_tabulate`, which never reads or replaces the slot.
 
 Variables are identifiers (letter, then letters/digits/underscore); `rho`
 and `sigma` are reserved for the constants, so `r` and `s` remain usable as

@@ -41,7 +41,7 @@ def synthesize(
     simplify: bool = False,
 ) -> Formula:
     """A formula whose truth table is exactly f: the module docstring's
-    compact synthesis, deterministic, re-checked on the & and | nodes it built.
+    compact synthesis, deterministic, each join checked where it is built.
 
     Tables of arity 0 (use a constant formula) or above MAX_TABLE_VARS are
     refused before any work.  Tables breaking the delta pairing raise
@@ -68,12 +68,7 @@ def synthesize(
         raise ValueError(f"duplicate variable name in {list(names)}")
     for name in names:  # each name's Var, built here so that Var checks every name
         _unary(_PROJECTION, name)
-    flat, known = bytes(f.entries), {}
-    result = _compact(flat, names, known)
-    # a memo pre-filled with each atlas root's table: only the join is valued
-    if _tabulate(result, names, memo=known) != int.from_bytes(flat, "little"):
-        raise RuntimeError("compact synthesis changed the realized table")
-    return result
+    return _compact(bytes(f.entries), names)[0]
 
 
 @functools.cache
@@ -110,30 +105,34 @@ def _unary(table: int, name: str) -> Formula:
     return node
 
 
-@functools.cache  # 4 * (n - 1) + 64 keys for each arity n <= MAX_TABLE_VARS
-def _lifted(table: int, n: int, i: int) -> int:
-    """The packed table over n variables of a packed unary table read at
-    position i, as any atlas node over the i-th name gives it: no node held."""
-    lanes = compose_lanes(table.to_bytes(4, "little"), (projection_packed(n, i),), 4**n)
+@functools.cache  # 4 keys, the S_a tables, for each arity 2 <= n <= MAX_TABLE_VARS
+def _lifted(table: int, n: int) -> int:
+    """A packed unary table read at the first of n variables: no node held."""
+    lanes = compose_lanes(table.to_bytes(4, "little"), (projection_packed(n, 0),), 4**n)
     return int.from_bytes(lanes, "little")
 
 
-def _compact(flat: bytes, names: tuple[str, ...], known: dict, i: int = 0) -> Formula:
-    """The compact synthesis of the module docstring of the packed slice flat
-    over names[i:]; a ^ 1 is a's partner.  known gets id(node) and its
-    table over names for each atlas root the join holds."""
-    if i == len(names) - 1:
-        node = _unary(table := int.from_bytes(flat, "little"), names[i])
-        known[id(node)] = _lifted(table, len(names), i)
-        return node
+def _compact(flat: bytes, names: tuple[str, ...]) -> tuple[Formula, bytes]:
+    """The module docstring's compact synthesis of the packed slice flat over
+    names, returned with the slice it is checked to realize; a ^ 1 is a's
+    partner.  The join is checked on its operands' tables: S_a's from _lifted,
+    f_a's from its own call's slice, four times over as f_a ignores names[0]."""
+    if len(names) == 1:
+        return _unary(int.from_bytes(flat, "little"), names[0]), flat
     if flat.count(flat[0]) == len(flat):
-        return _CONSTS[flat[0]]
-    width, terms = len(flat) // 4, []
+        return _CONSTS[flat[0]], flat
+    width, terms, operands = len(flat) // 4, [], {}
     for a in ELEMENTS:
         part = flat[a * width : (a + 1) * width]
         if part.count(Element.ZERO) < width:
-            s_a = _unary(table := 3 << 8 * a | 2 << 8 * (a ^ 1), names[i])
-            known[id(s_a)] = _lifted(table, len(names), i)
-            terms.append(s_a if part.count(Element.ONE) == width else
-                         Binary(Connective.AND, s_a, _compact(part, names, known, i + 1)))
-    return functools.reduce(functools.partial(Binary, Connective.OR), terms)
+            s_a = _unary(table := 3 << 8 * a | 2 << 8 * (a ^ 1), names[0])
+            operands[id(s_a)] = _lifted(table, len(names))
+            if part.count(Element.ONE) < width:
+                f_a, part = _compact(part, names[1:])
+                operands[id(f_a)] = int.from_bytes(part * 4, "little")
+                s_a = Binary(Connective.AND, s_a, f_a)
+            terms.append(s_a)
+    node = functools.reduce(functools.partial(Binary, Connective.OR), terms)
+    if _tabulate(node, names, memo=operands) != int.from_bytes(flat, "little"):
+        raise RuntimeError("compact synthesis changed the realized table")
+    return node, flat

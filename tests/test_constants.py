@@ -989,8 +989,8 @@ def test_four_expansions_tabulate_their_shared_nodes_once():
 
 
 def test_a_synthesize_check_between_tabulations_keeps_the_reuse():
-    # synthesize's re-check tabulates a formula it has just built;
-    # it neither reads nor replaces the memo the next tabulation reuses,
+    # synthesize's checks tabulate the joins it has just built;
+    # they neither read nor replace the memo the next tabulation reuses,
     # also when it tabulates over the same var_order
     sysm = TwelveSystem.from_tables(random_twelve_tables(make_rng(45)))
     derived = derive_all_constants(sysm)

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -31,7 +32,7 @@ from magari4.preservation import (
     delta_pairing_relation,
     random_delta_preserving_table,
 )
-from magari4.synthesis import NotRepresentable, synthesize
+from magari4.synthesis import NotRepresentable, default_var_names, synthesize
 from magari4.tables import FuncTable, points
 
 Z, R, S, O = ELEMENTS
@@ -334,9 +335,9 @@ def test_a_corrupted_atlas_recipe_is_still_caught():
 
 
 def test_the_recheck_values_each_atlas_root_once_per_variable_order(monkeypatch):
-    # each atlas root's table over names is lifted once per (table, arity,
-    # position), whatever the order; after that a binary table's re-check
-    # values only the & and | nodes that its call built
+    # only the join's S_a tables are lifted, once per (table, arity),
+    # whatever the order; after that a binary table's check values only the
+    # & and | nodes that its call built
     synthesis._lifted.cache_clear()
     rng = make_rng(67)
     tables = [random_delta_preserving_table(2, rng) for _ in range(200)]
@@ -344,7 +345,7 @@ def test_the_recheck_values_each_atlas_root_once_per_variable_order(monkeypatch)
     for step, table in enumerate(tables):
         synthesize(table, orders[step % 2])
     walked = synthesis._lifted.cache_info()
-    assert walked.misses == walked.currsize <= 4 + 64 < walked.hits
+    assert walked.misses == walked.currsize <= 4 < walked.hits
     valued = []
     connectives = formula.packed_connectives
 
@@ -367,7 +368,7 @@ def test_the_recheck_values_each_atlas_root_once_per_variable_order(monkeypatch)
 def test_the_root_cache_is_bounded_and_right_after_the_unary_cache_drops_its_nodes():
     # the table cache holds no node and no name, so 300 tables over
     # alternating orders of 12 names, after the unary cache drops its nodes,
-    # take at most 4 + 64 entries: the S_a at position 0, any table at 1
+    # take at most 4 entries: the S_a over two variables
     synthesis._lifted.cache_clear()
     synthesis._unary.cache_clear()
     gc.collect()
@@ -378,7 +379,45 @@ def test_the_root_cache_is_bounded_and_right_after_the_unary_cache_drops_its_nod
         table = random_delta_preserving_table(2, rng)
         f = synthesize(table, names)
         assert tuple(evaluate(f, dict(zip(names, xs))) for xs in points(2)) == table.entries
-    assert synthesis._lifted.cache_info().currsize <= 4 + 64
+    assert synthesis._lifted.cache_info().currsize <= 4
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_a_wrong_slice_is_refused_by_the_level_that_joins_it(monkeypatch, arity):
+    # a level checks its join on the slices that its operands' own checks
+    # found, so one slice call that realizes another table (the negation of
+    # its slice, which differs at every entry) passes its own check and is
+    # refused one level up
+    real, wrong = synthesis._compact, []
+
+    def one_wrong_slice(flat, names):
+        if len(names) < arity and not wrong:
+            wrong.append(real(bytes(e ^ 3 for e in flat), names))
+            return wrong[0]
+        return real(flat, names)
+
+    monkeypatch.setattr(synthesis, "_compact", one_wrong_slice)
+    table = random_delta_preserving_table(arity, make_rng(79))
+    with pytest.raises(RuntimeError, match="changed the realized table"):
+        synthesize(table)
+    assert len(wrong) == 1
+    monkeypatch.undo()
+    assert truth_table(synthesize(table), default_var_names(arity)) == table
+
+
+def test_a_wide_synthesis_keeps_no_table_per_join_node():
+    # each join is checked on its own level's width as it is built, so one
+    # arity-7 call (9,528 distinct nodes) holds a few tables at a time,
+    # not one per node, which would take about 159 MiB
+    table = random_delta_preserving_table(7, random.Random("probe/7/0"))
+    tracemalloc.start()
+    try:
+        f = synthesize(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert truth_table(f, default_var_names(7)) == table
 
 
 def test_selftest_round_trips_confirm_each_point_with_evaluate(monkeypatch):
