@@ -15,10 +15,12 @@ of new or older tables at each argument; a batch that would take the
 fixpoint past COMPOSE_BUDGET compositions is refused, before it runs, with
 ClosureBudgetExceeded.
 
-The fixpoint is one generator, _grow, that yields the packed tables each
-batch adds.  closure_fragment drains it and unpacks the fragment once;
-expressible_constants compares packed tables and stops it at the batch that
-adds the fourth constant table.
+The fixpoint is one generator, _grow, that yields the tables each batch
+adds.  At k=1 a table is its one-byte code (see tables.unary_code): a batch
+composes, and deduplicates, codes.  At k>=2 a table is its packed bytes.
+closure_fragment drains the generator and maps the fragment to tables once,
+at k=1 to the shared tables.UNARY_TABLES; expressible_constants compares
+codes and stops it at the batch that adds the fourth constant table.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from typing import Iterator
 
 from .algebra import ELEMENTS, Element
 from .preservation import count_delta_preserving, preserves_delta_pairing
-from .tables import FuncTable, compose_lanes, projection, unpack
+from .tables import (UNARY_TABLES, FuncTable, compose_codes, compose_lanes, projection,
+                     unary_code, unpack)
 
 
 # Table compositions one closure_fragment call may make.  A delta-preserving
@@ -42,6 +45,12 @@ COMPOSE_BUDGET = 2**18
 
 # Bytes per argument lane of one composition, bounding a batch's memory.
 _LANE_BYTES = 2**20
+
+# The one-byte bytes of each code, to lay unary tables out in lanes.
+_BYTES = tuple(bytes((code,)) for code in range(256))
+
+# The code of each constant's unary table.
+_CONSTANTS = {unary_code((c,) * 4): c for c in ELEMENTS}
 
 
 class ClosureBudgetExceeded(ValueError):
@@ -76,6 +85,8 @@ def closure_fragment(sigma: SystemSigma, k: int) -> ClosureFragment:
     if not 1 <= k <= 3:
         raise ValueError(f"fragment arity must lie in 1..3, got {k}")
     packed = set().union(*_grow(sigma, k))
+    if k == 1:
+        return ClosureFragment(k, frozenset(map(UNARY_TABLES.__getitem__, packed)))
     return ClosureFragment(k, frozenset(unpack(t, k) for t in packed))
 
 
@@ -86,31 +97,32 @@ def expressible_constants(sigma: SystemSigma) -> frozenset[Element]:
     a system that reaches all four before a batch that would pass
     COMPOSE_BUDGET gets its answer, where closure_fragment(sigma, 1) raises
     ClosureBudgetExceeded."""
-    wanted = {bytes((c,)) * 4: c for c in ELEMENTS}
     found: set[Element] = set()
     for added in _grow(sigma, 1):
-        found.update(wanted[t] for t in added.intersection(wanted))
-        if len(found) == len(wanted):
+        found.update(_CONSTANTS[t] for t in added.intersection(_CONSTANTS))
+        if len(found) == len(_CONSTANTS):
             break
     return frozenset(found)
 
 
-def _grow(sigma: SystemSigma, k: int) -> Iterator[set[bytes]]:
+def _grow(sigma: SystemSigma, k: int) -> Iterator[set]:
     """The k-ary fragment, packed, as the fixpoint grows it: first the
-    projections, then the tables each composition batch adds, if any."""
+    projections, then the tables each composition batch adds, if any.  A
+    unary table is its code, one byte; a wider one its packed bytes."""
     size = 4**k
+    key = unary_code if k == 1 else bytes
     flats = [(t.arity, bytes(t.entries)) for _, t in sigma.members]
     if all(preserves_delta_pairing(t) for _, t in sigma.members):
         full = count_delta_preserving(k)  # compositions stay in this set
     else:
         full = 4**size
-    current = {bytes(projection(k, i).entries) for i in range(k)}
+    current = {key(projection(k, i).entries) for i in range(k)}
     yield set(current)
     frontier = sorted(current)
     made = 0
     while frontier:
         old = sorted(current.difference(frontier))
-        new: list[bytes] = []
+        new: list = []
         for arity, flat in flats:
             # every argument tuple touching the frontier, enumerated once
             for pattern in itertools.product((False, True), repeat=arity):
@@ -136,21 +148,40 @@ def _grow(sigma: SystemSigma, k: int) -> Iterator[set[bytes]]:
         frontier = sorted(new)
 
 
-def _compose_batch(flat: bytes, pools: list[list[bytes]], size: int) -> set[bytes]:
+def _compose_batch(flat: bytes, pools: list[list], size: int) -> set:
     """The tables g(t1, ..., tm) for every t_i in pools[i], composed at once:
     lane i repeats the pools' tables so that its c-th table is the i-th
     argument of the product's c-th tuple.  Leading pools are looped over
-    while the lanes would pass _LANE_BYTES."""
-    lead = 0
-    while lead < len(pools) and math.prod(map(len, pools[lead:])) * size > _LANE_BYTES:
+    while the lanes would pass _LANE_BYTES.
+
+    A unary table (size 4) is its code, one byte of a lane: compose_codes
+    gives the codes of the product's tables in order, and a set of them
+    takes the distinct ones.  A wider table is its packed bytes, and the
+    output is split into tables by one struct.unpack call."""
+    codes = size == 4
+    width = 1 if codes else size
+    count, lead = math.prod(map(len, pools)), 0
+    while lead < len(pools) and count * width > _LANE_BYTES:
+        count //= len(pools[lead])
         lead += 1
-    count, lanes, outer = math.prod(map(len, pools[lead:])), [], 1
+    lanes, outer = [], 1
     for pool in pools[lead:]:
         inner = count // (outer * len(pool))
-        lanes.append(int.from_bytes(b"".join(t * inner for t in pool) * outer, "little"))
+        if not codes:
+            lane = b"".join([t * inner for t in pool])
+        elif inner == 1:
+            lane = bytes(pool)
+        else:
+            lane = b"".join([_BYTES[t] * inner for t in pool])
+        lanes.append(lane * outer)
         outer *= len(pool)
+    out: set = set()
+    if codes:
+        for fixed in itertools.product(*pools[:lead]):
+            out.update(compose_codes(flat, [_BYTES[t] * count for t in fixed] + lanes, count))
+        return out
+    lanes = [int.from_bytes(lane, "little") for lane in lanes]
     split = f"{size}s" * count
-    out: set[bytes] = set()
     for fixed in itertools.product(*pools[:lead]):
         args = [int.from_bytes(t * count, "little") for t in fixed] + lanes
         out.update(struct.unpack(split, compose_lanes(flat, args, count * size)))

@@ -11,6 +11,12 @@ A "lane" is one byte position; several tables laid end to end are
 evaluated lane by lane at once.  Packing, unpacking, packed projections,
 the bitwise masks and `compose_lanes`, the one composition kernel, live
 here; the formula module's bitwise walk works on the same form.
+
+A unary table also has a second form, owned here too: its code, one byte
+with entry x in bits 2x..2x+1, so the identity is 0xE4 and the constant c
+is c * 0x55.  UNARY_TABLES holds the one shared table of each code, which
+`unpack(packed, 1)` returns, and `compose_codes` runs `compose_lanes` on
+lanes of codes, one byte per table.
 """
 
 from __future__ import annotations
@@ -95,9 +101,26 @@ def pack(t: FuncTable) -> int:
     return int.from_bytes(bytes(t.entries), "little")
 
 
+def unary_code(entries: Sequence[int]) -> int:
+    """The code of a unary table: entry x in bits 2x..2x+1."""
+    a, b, c, d = entries
+    if a | b | c | d > 3:
+        raise ValueError(f"table entries must lie in 0..3, got {tuple(entries)}")
+    return a | b << 2 | c << 4 | d << 6
+
+
+# The unary table of each code, built once and shared.
+UNARY_TABLES = tuple(
+    FuncTable(1, tuple(ELEMENTS[code >> 2 * x & 3] for x in range(4))) for code in range(256)
+)
+
+
 def unpack(packed: int | bytes, arity: int) -> FuncTable:
+    """The table of a packed form; a unary one is the shared table of its code."""
     if isinstance(packed, int):
         packed = packed.to_bytes(4**arity, "little")
+    if arity == 1:
+        return UNARY_TABLES[unary_code(packed)]
     return FuncTable(arity, tuple(map(ELEMENTS.__getitem__, packed)))
 
 
@@ -132,3 +155,22 @@ def compose_lanes(flat: bytes, args: Sequence[int], width: int) -> bytes:
         pick = compose_lanes(bytes(3 * (x == v) for x in range(4)), args[:1], width)
         out |= int.from_bytes(part, "little") & int.from_bytes(pick, "little")
     return out.to_bytes(width, "little")
+
+
+def compose_codes(flat: bytes, lanes: Sequence[bytes], count: int) -> bytes:
+    """compose_lanes on unary tables by their codes: lane i holds the code of
+    the i-th argument of each of count compositions, and the result holds
+    the code of each composition, in the same order.  The four entries run
+    side by side through one compose_lanes call, entry x in the lanes from
+    x * count on."""
+    bits = 8 * count
+    low = (1 << bits) // 255 * 3  # the low two bits of each of count bytes
+    args = []
+    for lane in lanes:
+        code = int.from_bytes(lane, "little")
+        args.append(code & low | (code >> 2 & low) << bits
+                    | (code >> 4 & low) << 2 * bits | (code >> 6 & low) << 3 * bits)
+    value = int.from_bytes(compose_lanes(flat, args, 4 * count), "little")
+    code = (value & low | (value >> bits & low) << 2
+            | (value >> 2 * bits & low) << 4 | (value >> 3 * bits & low) << 6)
+    return code.to_bytes(count, "little")

@@ -24,7 +24,7 @@ from magari4.preservation import (
     random_delta_preserving_table,
 )
 from magari4.selftest import canned_system
-from magari4.tables import FuncTable, constant_table, points, projection
+from magari4.tables import UNARY_TABLES, FuncTable, constant_table, points, projection, unary_code
 
 Z, R, S, O = ELEMENTS
 
@@ -380,3 +380,72 @@ def test_oracle_answers_where_the_fragment_passes_the_budget(batches, monkeypatc
     assert expressible_constants(sigma) == frozenset(ELEMENTS)
     with pytest.raises(ClosureBudgetExceeded):
         closure_fragment(sigma, 1)
+
+
+# ---------------------------------------------------------------------------
+# Members of arity 4 and 5
+# ---------------------------------------------------------------------------
+
+
+def pointwise_unary_fixpoint(members, cap):
+    """Independent reference for members of any arity: the unary fragment as
+    a plain fixpoint of compose_pointwise over every argument tuple touching
+    the last round's additions.  None once it holds more than cap tables."""
+    fragment = {projection(1, 0)}
+    added = set(fragment)
+    while added:
+        ordered = sorted(fragment, key=lambda t: t.entries)
+        new = set()
+        for g in members:
+            for args in itertools.product(ordered, repeat=g.arity):
+                if not added.isdisjoint(args):
+                    new.add(compose_pointwise(g, args))
+        added = new - fragment
+        fragment |= added
+        if len(fragment) > cap:
+            return None
+    return fragment
+
+
+def _near_projection(arity, rng, keep_classes):
+    """A projection with a few entries changed: within their delta class
+    (so the table still preserves the delta pairing), or to any element."""
+    entries = list(projection(arity, rng.randrange(arity)).entries)
+    for _ in range(rng.choice((2, 8, 32))):
+        k = rng.randrange(len(entries))
+        entries[k] = ELEMENTS[entries[k] ^ 1] if keep_classes else rng.choice(ELEMENTS)
+    return FuncTable(arity, tuple(entries))
+
+
+def test_unary_fragments_of_members_of_arity_4_and_5():
+    # arity 4 is the widest member one translate composes; arity 5 goes
+    # through compose_lanes' split on the first argument
+    rng = make_rng(50)
+    checked = {4: 0, 5: 0}
+    kinds, sizes, constants_seen = set(), set(), 0
+    for _ in range(60):
+        arity = rng.choice((4, 5))
+        wide = _near_projection(arity, rng, keep_classes=rng.random() < 0.5)
+        unary = FuncTable(1, tuple(rng.choice(ELEMENTS) for _ in range(4)))
+        members = [unary, wide]
+        want = pointwise_unary_fixpoint(members, cap=6)
+        if want is None:
+            continue
+        sigma = SystemSigma((("u", unary), ("w", wide)))
+        assert closure_fragment(sigma, 1).tables == want, [t.to_text() for t in members]
+        constants = frozenset(c for c in ELEMENTS if constant_table(c, 1) in want)
+        assert expressible_constants(sigma) == constants
+        constants_seen += len(constants)
+        checked[arity] += 1
+        kinds.add(preserves_delta_pairing(wide))
+        sizes.add(len(want))
+    assert min(checked.values()) >= 5, checked
+    assert kinds == {True, False}
+    assert max(sizes) >= 4, sizes
+    assert constants_seen >= 1
+
+
+def test_unary_fragments_hold_the_shared_table_of_each_code():
+    for sigma in (CONNECTIVE_SIGMA, PROBE_SIGMA, SystemSigma((("not", NOT),))):
+        for t in closure_fragment(sigma, 1).tables:
+            assert t is UNARY_TABLES[unary_code(t.entries)]

@@ -1,20 +1,28 @@
 """Function tables: construction, text format, and the composition kernel
 against the pointwise reference."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import compose_pointwise
 from magari4.algebra import ELEMENTS, Element
+from magari4.constants import _tabulate, derive_all_constants
+from magari4.formula import parse, truth_table
+from magari4.selftest import canned_system
 from magari4.tables import (
+    UNARY_TABLES,
     FuncTable,
+    compose_codes,
     compose_lanes,
     constant_table,
     linear_index,
     pack,
     points,
     projection,
+    unary_code,
     unpack,
 )
 
@@ -118,3 +126,47 @@ def test_compose_projection_identity():
     for t in (DELTA, NOT, AND):
         identity = [projection(t.arity, i) for i in range(t.arity)]
         assert compose_by_kernel(t, identity) == t
+
+
+# ---------------------------------------------------------------------------
+# Unary codes
+# ---------------------------------------------------------------------------
+
+
+def test_every_unary_table_round_trips_through_its_code_to_the_shared_table():
+    assert unary_code(projection(1, 0).entries) == 0xE4
+    for c in ELEMENTS:
+        assert unary_code(constant_table(c, 1).entries) == c * 0x55
+    codes = set()
+    for entries in itertools.product(ELEMENTS, repeat=4):
+        t = FuncTable(1, entries)  # a fresh table, not the shared one
+        code = unary_code(t.entries)
+        codes.add(code)
+        assert UNARY_TABLES[code] == t
+        assert unpack(pack(t), 1) is unpack(bytes(t.entries), 1) is UNARY_TABLES[code]
+    assert codes == set(range(256))
+    with pytest.raises(ValueError):
+        unpack(bytes((0, 1, 2, 4)), 1)
+
+
+def test_one_variable_tabulations_return_the_shared_tables():
+    f = parse("# ~ p -> p")
+    t = truth_table(f, ("p",))
+    assert t is truth_table(f, ("p",)) is UNARY_TABLES[unary_code(t.entries)]
+    system = canned_system()
+    for derivation in derive_all_constants(system).values():
+        t = derivation.realized
+        assert t is _tabulate(derivation.term, system) is UNARY_TABLES[unary_code(t.entries)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.integers(1, 6).flatmap(lambda m: st.tuples(tables(m), st.lists(
+    st.lists(tables(1), min_size=m, max_size=m), min_size=1, max_size=12))))
+def test_compose_codes_matches_apply_on_random_tables(case):
+    # each composition's arguments sit at one position of the code lanes
+    g, compositions = case
+    lanes = [bytes(unary_code(args[i].entries) for args in compositions) for i in range(g.arity)]
+    got = compose_codes(bytes(g.entries), lanes, len(compositions))
+    assert [UNARY_TABLES[code] for code in got] == [
+        compose_pointwise(g, args) for args in compositions
+    ]
