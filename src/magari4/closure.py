@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .algebra import ELEMENTS, Element
-from .preservation import count_delta_preserving, preserves_delta_pairing
+from .preservation import count_delta_preserving, delta_classes_respected
 from .tables import (UNARY_TABLES, FuncTable, compose_codes, compose_lanes, projection,
                      unary_code, unpack)
 
@@ -112,7 +112,7 @@ def _grow(sigma: SystemSigma, k: int) -> Iterator[set]:
     size = 4**k
     key = unary_code if k == 1 else bytes
     flats = [(t.arity, bytes(t.entries)) for _, t in sigma.members]
-    if all(preserves_delta_pairing(t) for _, t in sigma.members):
+    if all(delta_classes_respected(flat, arity) for arity, flat in flats):
         full = count_delta_preserving(k)  # compositions stay in this set
     else:
         full = 4**size

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence, Union
 
 from .algebra import ELEMENTS, HIGH, LOW, Element, delta
 from .formula import (
-    Formula, Var, _dag_fold, _dag_node, free_vars, parse, substitute_all, truth_table,
+    Formula, Var, _dag_fold, _dag_node, _walker, free_vars, parse, substitute_all, truth_table,
 )
 from .preservation import (
     ViolationWitness,
@@ -44,7 +44,6 @@ from .tables import (
     FuncTable,
     compose_lanes,
     constant_table,
-    projection_packed,
     unpack,
 )
 from .closure import SystemSigma
@@ -132,8 +131,9 @@ def term_table(
     """Tabulate term over all valuations of var_order, first variable most
     significant, composing the members' tables.
 
-    var_order must cover every variable of term and contain no duplicates,
-    and tables must name every member term applies."""
+    var_order must cover every variable of term, contain no duplicates and
+    hold at most MAX_TABLE_VARS variables, as for truth_table, and tables
+    must name every member term applies."""
     var_order = tuple(var_order)
     return unpack(_packed(term, var_order, tables), len(var_order))
 
@@ -144,17 +144,16 @@ def _packed(
 ) -> int:
     """term_table's packed table; known holds the packed tables of term
     nodes already tabulated over the same var_order and tables (see
-    _dag_fold)."""
-    if len(set(var_order)) != len(var_order):
-        raise ValueError("duplicate variable in var_order")
-    n = len(var_order)
-    env = {name: projection_packed(n, i) for i, name in enumerate(var_order)}
+    _dag_fold).  var_order is checked, and its projections are built, once
+    per order, by the walker truth_table uses."""
+    env = _walker(var_order)[0]
+    size = 4 ** len(var_order)
 
     def compose(node: TermApply, args: list[int]) -> int:
         table = tables[node.label]
         if len(args) != table.arity:
             raise ValueError(f"{node.label} expects {table.arity} argument(s)")
-        return int.from_bytes(compose_lanes(bytes(table.entries), args, 4**n), "little")
+        return int.from_bytes(compose_lanes(bytes(table.entries), args, size), "little")
 
     try:
         return _dag_fold(term, lambda v: env[v.name], compose, known)

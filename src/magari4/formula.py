@@ -57,7 +57,8 @@ from __future__ import annotations
 import copy
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
+from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from .algebra import Connective, Element, apply
@@ -529,7 +530,10 @@ def truth_table(f: Formula, var_order: Sequence[str]) -> FuncTable:
     significant.
 
     var_order must cover every free variable of f, contain no duplicates
-    and hold at most MAX_TABLE_VARS variables.
+    and hold at most MAX_TABLE_VARS variables.  Those checks, the packed
+    projections and the leaf callback are set up once per var_order, and
+    the connectives once per arity (see _tabulate); a refused var_order is
+    refused on every call.
 
     A call over the same var_order as the last successful call takes the
     table of each compound node that call valued instead of walking below
@@ -550,17 +554,25 @@ def truth_table(f: Formula, var_order: Sequence[str]) -> FuncTable:
 # (see tables.pack): entry k occupies the low two bits of byte k, so the
 # boolean connectives are single bitwise operations on the whole table and
 # delta is a shift plus two masks, as packed_connectives gives them.
+@lru_cache(maxsize=MAX_TABLE_VARS + 1)
 def packed_connectives(n: int) -> tuple[Callable, Callable]:
     ones, lo, hi = packed_masks(n)
     return (lambda op, x: x ^ ones if op is _NOT else hi | ((x >> 1) & lo),
             lambda op, x, y: x & y if op is _AND else x | y if op is _OR else (x ^ ones) | y)
 
 
-def _tabulate(
-    f: Formula, var_order: tuple[str, ...], known: Mapping = _NOTHING, memo: dict | None = None
-) -> int:
-    """truth_table's table, packed, without reading or replacing its last
-    call's memo; known and memo go to _fold."""
+# Variable orders whose walker _walker keeps; a walker holds no table of
+# its own, only references to the shared projections.
+_WALKERS = 256
+
+
+@lru_cache(maxsize=_WALKERS)
+def _walker(var_order: tuple[str, ...]) -> tuple[Mapping[str, int], Callable]:
+    """The set-up of a walk over var_order, made once per order while
+    cached: var_order checked for a repeated name and against
+    MAX_TABLE_VARS, the packed projection of each name (read-only, as every
+    caller shares it), and the leaf callback that reads them.  A refused
+    order raises on every call, as nothing is cached for it."""
     if len(set(var_order)) != len(var_order):
         raise ValueError("duplicate variable in var_order")
     n = len(var_order)
@@ -570,14 +582,20 @@ def _tabulate(
         )
     env = {name: projection_packed(n, i) for i, name in enumerate(var_order)}
     lo = packed_masks(n)[1]
+    return MappingProxyType(env), (
+        lambda node: env[node.name] if type(node) is Var else lo * node.value)
+
+
+def _tabulate(
+    f: Formula, var_order: tuple[str, ...], known: Mapping = _NOTHING, memo: dict | None = None
+) -> int:
+    """truth_table's table, packed, without reading or replacing its last
+    call's memo; known and memo go to _fold.  The checks of var_order, its
+    projections and the leaf callback are set up once per order (_walker)
+    and the connectives once per arity, so a call pays for its fold."""
+    leaf = _walker(var_order)[1]
     try:
-        return _fold(
-            f,
-            lambda node: env[node.name] if type(node) is Var else lo * node.value,
-            *packed_connectives(n),
-            known,
-            memo,
-        )
+        return _fold(f, leaf, *packed_connectives(len(var_order)), known, memo)
     except KeyError:  # a variable outside var_order; name every one of them
         missing = sorted(free_vars(f) - set(var_order))
         raise ValueError(f"var_order misses free variable(s): {missing}") from None

@@ -120,14 +120,18 @@ def _search(f: FuncTable, relation: RelationMatrix) -> tuple[Column, ...] | None
     """The lexicographically first selection of f.arity columns whose image
     escapes the relation, or None.  Depth first: a column cuts each row's block
     of f's entries to the quarter its entry picks, memoized per tuple of blocks;
-    the selections at the last (at most four) arguments are scanned as lanes."""
+    the selections at the last (at most four) arguments are scanned as lanes
+    by _leaf.  The plan (how many arguments the lanes take, the lanes and
+    their masks) is made once per relation, arity and lane cap; a table that
+    is one leaf goes straight to _leaf, with no memo and no budget count, as
+    one leaf takes at most 4**4 + _MAX_LANES steps."""
     cols, n = relation.columns, len(relation.columns)
     if n.bit_length() > 2 * relation.arity:  # n == 4**arity: every image is a column
         return None
-    tail = min(f.arity, 4)
-    while n**tail > _MAX_LANES:
-        tail -= 1
-    lanes, masks = _scan_tables(relation, tail)
+    plan = _plan(relation, f.arity, _MAX_LANES)
+    tail, blocks = plan[0], (bytes(f.entries),) * relation.arity
+    if f.arity == tail:
+        return _leaf(blocks, cols, plan)
     memo: dict[tuple[bytes, ...], tuple[Column, ...] | None] = {}
     spent = 0
 
@@ -141,15 +145,7 @@ def _search(f: FuncTable, relation: RelationMatrix) -> tuple[Column, ...] | None
                 f"the preservation search needs more than {SEARCH_BUDGET} steps"
             )
         if leaf:
-            held = 0  # lanes where some column agrees with the image on every row
-            for group in masks:
-                agree = -1
-                for lut, lane, mask in zip(blocks, lanes, group):
-                    marks = lane.translate(lut.translate(mask).ljust(256, b"\0"))
-                    agree &= int.from_bytes(marks, "little")
-                held |= agree
-            s = held.to_bytes(len(lanes[0]), "little").find(0)
-            sel = None if s < 0 else tuple(cols[s // n**j % n] for j in range(tail)[::-1])
+            sel = _leaf(blocks, cols, plan)
         else:
             q = len(blocks[0]) // 4
             cuts = (tuple(b[q * v : q * v + q] for b, v in zip(blocks, c)) for c in cols)
@@ -158,9 +154,28 @@ def _search(f: FuncTable, relation: RelationMatrix) -> tuple[Column, ...] | None
         memo[blocks] = sel
         return sel
 
-    sel = first((bytes(f.entries),) * relation.arity)
+    sel = first(blocks)
     del first  # it refers to itself; unlinking it frees the memo at once
     return sel
+
+
+def _leaf(blocks: tuple[bytes, ...], cols: tuple[Column, ...], plan) -> tuple[Column, ...] | None:
+    """The first selection of the plan's tail columns whose image escapes
+    the relation, given each row's block of entries over the tail
+    arguments."""
+    lanes, masks, places = plan[1:]
+    held = 0  # lanes where some column agrees with the image on every row
+    for group in masks:
+        agree = -1
+        for lut, lane, mask in zip(blocks, lanes, group):
+            marks = lane.translate(lut.translate(mask).ljust(256, b"\0"))
+            agree &= int.from_bytes(marks, "little")
+        held |= agree
+    s = held.to_bytes(len(lanes[0]), "little").find(0)
+    if s < 0:
+        return None
+    n = len(cols)
+    return tuple([cols[s // place % n] for place in places])
 
 
 # Lanes per row at most; past it, the search cuts blocks one argument more.
@@ -168,19 +183,25 @@ _MAX_LANES = 2**16
 
 
 @lru_cache(maxsize=256)
-def _scan_tables(relation: RelationMatrix, arity: int):
-    """Per row i, the lane whose byte s is the linear index of row i of the
-    s-th selection of arity columns; per group of eight columns and row i,
-    the table taking a value to the bits of the group's columns holding it
-    in row i."""
+def _plan(relation: RelationMatrix, arity: int, max_lanes: int):
+    """The search plan for tables of this arity: the number of tail
+    arguments the lanes take (at most four, and at most max_lanes
+    selections); per row i, the lane whose byte s is the linear index of
+    row i of the s-th selection of tail columns; per group of eight columns
+    and row i, the table taking a value to the bits of the group's columns
+    holding it in row i; and the place value of each tail argument's
+    column in a selection's index."""
     cols, rows, n = relation.columns, range(relation.arity), len(relation.columns)
+    tail = min(arity, 4)
+    while n**tail > max_lanes:
+        tail -= 1
     lanes = []
     for i in rows:
         index = 0
-        for j in range(arity):  # row i of the j-th column of each selection
-            digit = b"".join(bytes([c[i]]) * n ** (arity - 1 - j) for c in cols) * n**j
+        for j in range(tail):  # row i of the j-th column of each selection
+            digit = b"".join(bytes([c[i]]) * n ** (tail - 1 - j) for c in cols) * n**j
             index = index << 2 | int.from_bytes(digit, "little")
-        lanes.append(index.to_bytes(n**arity, "little"))
+        lanes.append(index.to_bytes(n**tail, "little"))
     masks = tuple(
         tuple(
             bytes(sum(1 << b for b, c in enumerate(group) if c[i] == v) for v in range(4))
@@ -189,7 +210,7 @@ def _scan_tables(relation: RelationMatrix, arity: int):
         )
         for group in (cols[g : g + 8] for g in range(0, n, 8))
     )
-    return tuple(lanes), masks
+    return tail, tuple(lanes), masks, tuple(n ** (tail - 1 - j) for j in range(tail))
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +303,37 @@ def delta_pairing_relation() -> RelationMatrix:
 def preserves_delta_pairing(f: FuncTable) -> bool:
     """True iff the delta class of f's output depends only on the classes of
     its inputs; exactly the tables realizable by formulas."""
-    e = f.entries
-    return all(len({e[k] in HIGH for k in blk}) == 1 for blk in _blocks(f.arity))
+    return delta_classes_respected(bytes(f.entries), f.arity)
+
+
+# The delta class of each entry value: 0 for {0, rho}, 1 for {sigma, 1}.
+_CLASS_BITS = bytes(v >> 1 for v in range(256))
+
+
+def delta_classes_respected(flat: bytes, arity: int) -> bool:
+    """preserves_delta_pairing on a table's entries, one byte each.  Two
+    inputs share their class vector iff one reaches the other by moving
+    arguments to their class partners (x ^ 1) one at a time, so the check
+    is that no such move changes the output's class: with the entries
+    translated to class bits, one shift and mask per argument."""
+    bits = int.from_bytes(flat.translate(_CLASS_BITS), "little")
+    for shift, mask in _partner_moves(arity):
+        if (bits ^ bits >> shift) & mask:
+            return False
+    return True
+
+
+@lru_cache(maxsize=16)
+def _partner_moves(arity: int) -> tuple[tuple[int, int], ...]:
+    """Per argument, the shift that brings the entry of each input with the
+    argument at its class's upper element (rho or 1) down onto its partner's,
+    with the mask of the lower inputs' entries."""
+    moves = []
+    for i in range(arity):
+        stride = 4 ** (arity - 1 - i)
+        lower = (b"\x01" * stride + b"\0" * stride) * (4**arity // (2 * stride))
+        moves.append((8 * stride, int.from_bytes(lower, "little")))
+    return tuple(moves)
 
 
 def classify(f: FuncTable) -> frozenset[int]:

@@ -1,7 +1,8 @@
 """Built-in verification suite: re-checks the algebra's headline facts.
 
 Covers the four defining identities, validity of the modal axioms, the
-64-element unary clone, consistency of the unary-operation catalogue with
+64-element unary clone, the delta-class check against the search over the
+delta-pairing relation, consistency of the unary-operation catalogue with
 the built-in relations, synthesis round-trips (seeded binary and ternary
 tables confirmed point by point with evaluate), and end-to-end constant
 derivation (one canned system plus a seeded randomized batch).
@@ -9,6 +10,7 @@ derivation (one canned system plus a seeded randomized batch).
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .algebra import ELEMENTS, Element, magari_identity_report
@@ -17,9 +19,11 @@ from .constants import TwelveSystem, derive_all_constants
 from .formula import evaluate, free_vars, parse, truth_table
 from .preservation import (
     builtin_relation,
+    delta_pairing_relation,
     delta_preserving_tables,
     find_violation,
     i_op,
+    preserves_delta_pairing,
     random_delta_preserving_table,
 )
 from .synthesis import NotRepresentable, default_var_names, synthesize
@@ -70,6 +74,7 @@ _RANDOM_SYSTEMS = 25
 _ARITIES = (1, 2)
 _MAX_TRIES = 10_000
 _ROUND_TRIPS = {2: 300, 3: 5}  # random tables synthesized per arity
+_CLASS_CHECKS = {2: 40, 3: 10}  # random tables per arity, each also with one class flip
 
 
 def canned_system() -> TwelveSystem:
@@ -122,6 +127,30 @@ def _round_trips(tables) -> bool:
     return True
 
 
+def _class_check_tables(seed: int) -> list[FuncTable]:
+    """All 256 unary tables, then seeded delta-preserving binary and
+    ternary tables, each followed by a copy with one entry moved to the
+    other delta class."""
+    tables = [FuncTable(1, entries) for entries in itertools.product(ELEMENTS, repeat=4)]
+    rng = random.Random(f"delta classes/{seed}")
+    for arity, count in _CLASS_CHECKS.items():
+        for _ in range(count):
+            table = random_delta_preserving_table(arity, rng)
+            entries = list(table.entries)
+            k = rng.randrange(len(entries))
+            entries[k] = ELEMENTS[entries[k] ^ 2]
+            tables += [table, FuncTable(arity, tuple(entries))]
+    return tables
+
+
+def _class_check_agrees(tables) -> bool:
+    """preserves_delta_pairing against the search over the delta-pairing
+    relation, which stays the reference."""
+    relation = delta_pairing_relation()
+    return all(preserves_delta_pairing(t) is (find_violation(t, relation) is None)
+               for t in tables)
+
+
 def _rejects_breaker() -> bool:
     breaker = FuncTable(1, (Element.ZERO, Element.SIGMA, Element.ZERO, Element.ZERO))
     try:
@@ -165,6 +194,12 @@ def run_selftest(seed: int = DEFAULT_SEED) -> list[tuple[str, bool]]:
     count = sum(1 for _ in delta_preserving_tables(1))
     checks.append(("exactly 64 of 256 unary tables respect the delta classes",
                    count == 64))
+    checks.append(
+        (f"delta-class check agrees with the delta-pairing search on all 256 unary "
+         f"tables and on {sum(_CLASS_CHECKS.values())} binary and ternary tables "
+         f"with their class flips (seed {seed})",
+         _class_check_agrees(_class_check_tables(seed)))
+    )
     checks.append(
         ("unary-operation catalogue consistent with built-in relations",
          _catalogue_consistent())

@@ -29,6 +29,8 @@ class NotRepresentable(ValueError):
 
 _CONSTS = tuple(map(Const, ELEMENTS))  # the one Const of each value
 _PROJECTION = projection_packed(1, 0)
+# module names, so that _compact looks up no enum attribute per node
+_AND, _OR, _ZERO, _ONE = Connective.AND, Connective.OR, Element.ZERO, Element.ONE
 
 
 def default_var_names(arity: int) -> tuple[str, ...]:
@@ -116,23 +118,23 @@ def _compact(flat: bytes, names: tuple[str, ...]) -> tuple[Formula, bytes]:
     """The module docstring's compact synthesis of the packed slice flat over
     names, returned with the slice it is checked to realize; a ^ 1 is a's
     partner.  The join is checked on its operands' tables: S_a's from _lifted,
-    f_a's from its own call's slice, four times over as f_a ignores names[0]."""
+    f_a's from its own call's slice, four times over as f_a ignores names[0].
+    Nodes are built with tuple.__new__, as Binary's own constructor does."""
     if len(names) == 1:
         return _unary(int.from_bytes(flat, "little"), names[0]), flat
     if flat.count(flat[0]) == len(flat):
         return _CONSTS[flat[0]], flat
-    width, terms, operands = len(flat) // 4, [], {}
+    width, node, operands = len(flat) // 4, None, {}
     for a in ELEMENTS:
         part = flat[a * width : (a + 1) * width]
-        if part.count(Element.ZERO) < width:
+        if part.count(_ZERO) < width:
             s_a = _unary(table := 3 << 8 * a | 2 << 8 * (a ^ 1), names[0])
             operands[id(s_a)] = _lifted(table, len(names))
-            if part.count(Element.ONE) < width:
+            if part.count(_ONE) < width:
                 f_a, part = _compact(part, names[1:])
                 operands[id(f_a)] = int.from_bytes(part * 4, "little")
-                s_a = Binary(Connective.AND, s_a, f_a)
-            terms.append(s_a)
-    node = functools.reduce(functools.partial(Binary, Connective.OR), terms)
+                s_a = tuple.__new__(Binary, (_AND, s_a, f_a))
+            node = s_a if node is None else tuple.__new__(Binary, (_OR, node, s_a))
     if _tabulate(node, names, memo=operands) != int.from_bytes(flat, "little"):
         raise RuntimeError("compact synthesis changed the realized table")
     return node, flat

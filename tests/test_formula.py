@@ -20,7 +20,7 @@ from conftest import (
 )
 from magari4 import formula
 from magari4.algebra import ELEMENTS, Connective, apply, delta
-from magari4.constants import TermApply, TermVar
+from magari4.constants import TermApply, TermVar, term_table
 from magari4.formula import (
     Binary,
     Const,
@@ -214,6 +214,38 @@ def test_truth_table_var_order_errors():
         truth_table(parse("r | (p & q)"), ("p",))
     with pytest.raises(ValueError):
         truth_table(parse("p"), ("p", "p"))
+
+
+def test_a_refused_var_order_is_refused_on_every_call():
+    # the walker cache keeps only orders it accepted, so each refusal comes
+    # again on every call, also right after a valid call over the same names
+    cap = formula.MAX_TABLE_VARS
+    names = tuple(f"p{i}" for i in range(cap + 1))
+    for _ in range(2):
+        assert truth_table(parse("p & q"), ("p", "q")).arity == 2
+        with pytest.raises(ValueError, match="^duplicate variable in var_order$"):
+            truth_table(parse("p & q"), ("p", "q", "p"))
+        assert truth_table(parse("p0"), names[:cap]).arity == cap
+        with pytest.raises(ValueError, match=f"^a truth table over {cap + 1} variables"):
+            truth_table(parse("p0"), names)
+        assert truth_table(parse("p"), ("p",)).arity == 1
+        missing = r"^var_order misses free variable\(s\): \['q', 'r'\]$"
+        with pytest.raises(ValueError, match=missing):
+            truth_table(parse("r | (p & q)"), ("p",))
+    term = TermApply("F1", (TermVar("p0"),))
+    with pytest.raises(ValueError, match=f"^a truth table over {cap + 1} variables"):
+        term_table(term, names, {"F1": projection(1, 0)})
+
+
+def test_the_walker_cache_stops_at_its_bound():
+    # 1,000 distinct orders, each walked right: the cache keeps _WALKERS
+    formula._walker.cache_clear()
+    f = parse("p & ~q")
+    for step in range(1000):
+        names = ("p", "q", f"v{step}")[:: 1 if step % 2 else -1]
+        table = truth_table(f, names)
+        assert table.entries == tuple(evaluate(f, v) for v in all_valuations(names))
+    assert formula._walker.cache_info().currsize == formula._WALKERS < 1000
 
 
 def test_truth_table_caps_the_variable_count(monkeypatch):

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_rng
-from magari4.algebra import ELEMENTS, delta
-from magari4 import preservation
+from conftest import SEED, make_rng
+from magari4.algebra import ELEMENTS, HIGH, Element, delta
+from magari4 import preservation, selftest
 from magari4.formula import parse, truth_table
 from magari4.preservation import (
     RelationMatrix,
@@ -204,6 +204,30 @@ def test_find_violation_matches_the_product_search(case):
         assert preserves(f, relation) == (product_search(f, relation) is None)
 
 
+def test_a_cached_plan_honours_a_patched_lane_cap(monkeypatch):
+    # the plan is cached per (relation, arity, lane cap), so a cap patched
+    # after a search over the same relation and arity still moves the
+    # selections from the lanes to the loop: R12's 8**2 selections of a
+    # binary table are one leaf of 16 entries under the real cap, and
+    # leaves of four entries, one argument each, under a cap of 8
+    table = truth_table(parse("# p & # q"), ("p", "q"))
+    relation = builtin_relation(12)
+    want = product_search(table, relation)
+    real, sizes = preservation._leaf, []
+
+    def recording(blocks, cols, plan):
+        sizes.append(len(blocks[0]))
+        return real(blocks, cols, plan)
+
+    monkeypatch.setattr(preservation, "_leaf", recording)
+    assert find_violation(table, relation) == want
+    assert sizes == [16]
+    sizes.clear()
+    monkeypatch.setattr(preservation, "_MAX_LANES", 8)
+    assert find_violation(table, relation) == want
+    assert sizes and set(sizes) == {4}
+
+
 # ---------------------------------------------------------------------------
 # The unary catalogue
 # ---------------------------------------------------------------------------
@@ -319,6 +343,59 @@ def test_class_vector_check_matches_relation_search():
                 table = FuncTable(arity, tuple(entries))
             assert preserves_delta_pairing(table) is not broken
             assert (find_violation(table, relation) is None) is not broken
+
+
+def block_scan(table):
+    """Reference: the former kernel, one pass over the argument tuples
+    grouped by their vector of delta classes."""
+    e = table.entries
+    return all(len({e[k] in HIGH for k in blk}) == 1 for blk in preservation._blocks(table.arity))
+
+
+def _class_flipped(table, positions):
+    # each entry at a position moved to the other delta class
+    entries = list(table.entries)
+    for k in positions:
+        entries[k] = Element(entries[k] ^ 2)
+    return FuncTable(table.arity, tuple(entries))
+
+
+@pytest.mark.parametrize("arity", [0, 4, 5, 8])
+def test_class_vector_check_matches_the_search_and_the_block_scan_at_more_arities(arity):
+    # the shift-and-mask kernel against the search over the delta-pairing
+    # relation and the former block scan.  A flip of the entry with one
+    # argument at rho and the rest at 0 sits at that argument's stride; a
+    # flip of every entry whose argument i is rho or 1 breaks the classes
+    # along argument i alone, so a wrong mask or shift at any one argument
+    # lets it through
+    relation, rng = delta_pairing_relation(), make_rng(83 + arity)
+    strides = [4 ** (arity - 1 - i) for i in range(arity)]
+    cases = []
+    for _ in range(2):
+        table = random_delta_preserving_table(arity, rng)
+        cases.append((table, True))
+        for i, stride in enumerate(strides):
+            cases.append((_class_flipped(table, [stride]), False))
+            upper = [k for k in range(4**arity) if k // stride % 2]
+            cases.append((_class_flipped(table, upper), False))
+            k = rng.randrange(4**arity)  # and one entry anywhere
+            cases.append((_class_flipped(table, [k]), False))
+    for table, holds in cases:
+        assert preserves_delta_pairing(table) is holds
+        assert block_scan(table) is holds
+        assert (find_violation(table, relation) is None) is holds
+
+
+def test_the_selftest_class_check_refuses_a_wrong_kernel(monkeypatch):
+    # the selftest compares the kernel with the delta-pairing search; a
+    # kernel that passes everything, or that errs on one arity only, fails it
+    tables = selftest._class_check_tables(SEED)
+    assert len(tables) == 256 + 2 * sum(selftest._CLASS_CHECKS.values())
+    assert selftest._class_check_agrees(tables)
+    real = preservation.preserves_delta_pairing
+    for wrong in (lambda t: True, lambda t: real(t) if t.arity < 3 else True):
+        monkeypatch.setattr(selftest, "preserves_delta_pairing", wrong)
+        assert not selftest._class_check_agrees(tables)
 
 
 def test_delta_pairing_relation_columns():
