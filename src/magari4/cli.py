@@ -4,7 +4,7 @@ Every subcommand is a thin adapter over the library: parse flags, call the
 corresponding function, format the result.  Exit codes: 0 success, 1
 negative answer (not equivalent, nothing violated, precondition not met),
 2 usage error (bad flags or input, or a computation past its cap or
-budget), 3 internal check failure.
+budget or out of memory), 3 internal check failure.
 """
 
 from __future__ import annotations
@@ -367,6 +367,9 @@ def run(argv: list[str]) -> int:
         return args.fn(args)
     except (ParseError, EvaluationError, _UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return USAGE_ERROR
     except NotRepresentable as exc:
         print(f"not representable: {exc}", file=sys.stderr)

@@ -18,9 +18,9 @@ ClosureBudgetExceeded.
 The fixpoint is one generator, _grow, that yields the tables each batch
 adds.  At k=1 a table is its one-byte code (see tables.unary_code): a batch
 composes, and deduplicates, codes.  At k>=2 a table is its packed bytes.
-closure_fragment drains the generator and maps the fragment to tables once,
-at k=1 to the shared tables.UNARY_TABLES; expressible_constants compares
-codes and stops it at the batch that adds the fourth constant table.
+closure_fragment drains the generator and builds the fragment's tables
+once, at k=1 from their codes; expressible_constants compares codes and
+stops it at the batch that adds the fourth constant table.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from typing import Iterator
 
 from .algebra import ELEMENTS, Element
 from .preservation import count_delta_preserving, delta_classes_respected
-from .tables import (UNARY_TABLES, FuncTable, compose_codes, compose_lanes, projection,
-                     unary_code, unpack)
+from .tables import (FuncTable, compose_codes, compose_lanes, projection, unary_code,
+                     unary_entries)
 
 
 # Table compositions one closure_fragment call may make.  A delta-preserving
@@ -86,8 +86,8 @@ def closure_fragment(sigma: SystemSigma, k: int) -> ClosureFragment:
         raise ValueError(f"fragment arity must lie in 1..3, got {k}")
     packed = set().union(*_grow(sigma, k))
     if k == 1:
-        return ClosureFragment(k, frozenset(map(UNARY_TABLES.__getitem__, packed)))
-    return ClosureFragment(k, frozenset(unpack(t, k) for t in packed))
+        packed = map(unary_entries, packed)
+    return ClosureFragment(k, frozenset(map(FuncTable, itertools.repeat(k), packed)))
 
 
 def expressible_constants(sigma: SystemSigma) -> frozenset[Element]:
@@ -111,12 +111,12 @@ def _grow(sigma: SystemSigma, k: int) -> Iterator[set]:
     unary table is its code, one byte; a wider one its packed bytes."""
     size = 4**k
     key = unary_code if k == 1 else bytes
-    flats = [(t.arity, bytes(t.entries)) for _, t in sigma.members]
+    flats = [(t.arity, t.packed) for _, t in sigma.members]
     if all(delta_classes_respected(flat, arity) for arity, flat in flats):
         full = count_delta_preserving(k)  # compositions stay in this set
     else:
         full = 4**size
-    current = {key(projection(k, i).entries) for i in range(k)}
+    current = {key(projection(k, i).packed) for i in range(k)}
     yield set(current)
     frontier = sorted(current)
     made = 0

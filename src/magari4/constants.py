@@ -40,12 +40,7 @@ from .preservation import (
     preserves_delta_pairing,
 )
 from .synthesis import default_var_names, synthesize
-from .tables import (
-    FuncTable,
-    compose_lanes,
-    constant_table,
-    unpack,
-)
+from .tables import FuncTable, compose_lanes, constant_table
 from .closure import SystemSigma
 
 
@@ -134,18 +129,17 @@ def term_table(
     var_order must cover every variable of term, contain no duplicates and
     hold at most MAX_TABLE_VARS variables, as for truth_table, and tables
     must name every member term applies."""
-    var_order = tuple(var_order)
-    return unpack(_packed(term, var_order, tables), len(var_order))
+    return _term_table(term, tuple(var_order), tables)
 
 
-def _packed(
+def _term_table(
     term: Term, var_order: tuple[str, ...], tables: Mapping[str, FuncTable],
     known: dict | None = None,
-) -> int:
-    """term_table's packed table; known holds the packed tables of term
-    nodes already tabulated over the same var_order and tables (see
-    _dag_fold).  var_order is checked, and its projections are built, once
-    per order, by the walker truth_table uses."""
+) -> FuncTable:
+    """term_table; known holds the packed tables of term nodes already
+    tabulated over the same var_order and tables (see _dag_fold).
+    var_order is checked, and its projections are built, once per order,
+    by the walker truth_table uses."""
     env = _walker(var_order)[0]
     size = 4 ** len(var_order)
 
@@ -153,10 +147,10 @@ def _packed(
         table = tables[node.label]
         if len(args) != table.arity:
             raise ValueError(f"{node.label} expects {table.arity} argument(s)")
-        return int.from_bytes(compose_lanes(bytes(table.entries), args, size), "little")
+        return int.from_bytes(compose_lanes(table.packed, args, size), "little")
 
     try:
-        return _dag_fold(term, lambda v: env[v.name], compose, known)
+        packed = _dag_fold(term, lambda v: env[v.name], compose, known)
     except KeyError:  # a variable outside var_order or an unknown member
         names: set[str] = set()
         labels: set[str] = set()
@@ -165,6 +159,7 @@ def _packed(
         problems = [f"var_order misses term variable(s): {missing}"] if missing else []
         problems += [f"no table for member(s): {unknown}"] if unknown else []
         raise ValueError("; ".join(problems)) from None
+    return FuncTable(len(var_order), packed.to_bytes(size, "little"))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +342,7 @@ class Derivation:
 def _tabulate(term: Term, system: TwelveSystem) -> FuncTable:
     """term_table over p alone, reusing the system's tables of the term
     nodes tabulated against it."""
-    return unpack(_packed(term, ("p",), system.tables(), system._tabulated), 1)
+    return _term_table(term, ("p",), system.tables(), system._tabulated)
 
 
 def _check(cond: bool, trace: list[TraceStep], step: str, claim: str) -> None:

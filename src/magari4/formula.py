@@ -33,8 +33,7 @@ behaviours they inherit (`len`, iteration, indexing, unpacking, `+`) are
 not part of the contract.  The evaluators, printer and substitution run
 on `_fold` instead, which knows the two formula node types: it reads a
 node's fields once on the visit that values it, and revisits only a node
-whose compound operands were still waiting, where a generic fold ran
-`truth_table` about twice as slow.
+whose compound operands were still waiting.
 
 `truth_table` keeps one private slot: the var_order, root and memo of its
 last successful call.  The next call over the same var_order takes the
@@ -62,7 +61,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from .algebra import Connective, Element, apply
-from .tables import FuncTable, packed_masks, points, projection_packed, unpack
+from .tables import FuncTable, packed_masks, points, projection_packed
 
 
 class ParseError(ValueError):
@@ -545,13 +544,13 @@ def truth_table(f: Formula, var_order: Sequence[str]) -> FuncTable:
     last = _last  # held for the call, so its root outlives a replacement
     memo: dict = {}
     known = last[2] if last[0] == var_order else _NOTHING
-    table = unpack(_tabulate(f, var_order, known, memo), len(var_order))
+    packed = _tabulate(f, var_order, known, memo).to_bytes(4 ** len(var_order), "little")
     _last = (var_order, f, memo)
-    return table
+    return FuncTable(len(var_order), packed)
 
 
 # The truth table of a formula is computed in one fold over packed tables
-# (see tables.pack): entry k occupies the low two bits of byte k, so the
+# (see tables): entry k occupies the low two bits of byte k, so the
 # boolean connectives are single bitwise operations on the whole table and
 # delta is a shift plus two masks, as packed_connectives gives them.
 @lru_cache(maxsize=MAX_TABLE_VARS + 1)
@@ -614,7 +613,7 @@ def counterexample(f: Formula, g: Formula) -> dict[str, Element] | None:
     vs = tuple(sorted(free_vars(f) | free_vars(g)))
     tf = truth_table(f, vs)
     tg = truth_table(g, vs)
-    for pt, a, b in zip(points(len(vs)), tf.entries, tg.entries):
+    for pt, a, b in zip(points(len(vs)), tf.packed, tg.packed):
         if a != b:
             return dict(zip(vs, pt))
     return None

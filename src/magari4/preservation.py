@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import ELEMENTS, HIGH, Element, delta
-from .tables import FuncTable, points
+from .tables import FuncTable, linear_index, points
 
 Column = tuple[Element, ...]
 
@@ -102,7 +102,8 @@ def find_violation(f: FuncTable, relation: RelationMatrix) -> ViolationWitness |
     """First violating column selection in lexicographic order, if any."""
     rows, sel = range(relation.arity), _search(f, relation)
     if sel is not None:
-        return ViolationWitness(sel, tuple(f.apply([c[i] for c in sel]) for i in rows))
+        at = [linear_index([c[i] for c in sel]) for i in rows]
+        return ViolationWitness(sel, tuple(ELEMENTS[f.packed[k]] for k in at))
     return None
 
 
@@ -129,7 +130,7 @@ def _search(f: FuncTable, relation: RelationMatrix) -> tuple[Column, ...] | None
     if n.bit_length() > 2 * relation.arity:  # n == 4**arity: every image is a column
         return None
     plan = _plan(relation, f.arity, _MAX_LANES)
-    tail, blocks = plan[0], (bytes(f.entries),) * relation.arity
+    tail, blocks = plan[0], (f.packed,) * relation.arity
     if f.arity == tail:
         return _leaf(blocks, cols, plan)
     memo: dict[tuple[bytes, ...], tuple[Column, ...] | None] = {}
@@ -286,9 +287,7 @@ def i_op(i: int, j: int) -> FuncTable:
     """The unary operation with low-block behavior i and high-block behavior j."""
     if not (1 <= i <= 8 and 1 <= j <= 8):
         raise ValueError(f"i_op indices must lie in 1..8: ({i}, {j})")
-    low = _PAIRS[i - 1]
-    high = _PAIRS[j - 1]
-    return FuncTable(1, (low[0], low[1], high[0], high[1]))
+    return FuncTable(1, _PAIRS[i - 1] + _PAIRS[j - 1])
 
 
 @lru_cache(maxsize=None)
@@ -303,7 +302,7 @@ def delta_pairing_relation() -> RelationMatrix:
 def preserves_delta_pairing(f: FuncTable) -> bool:
     """True iff the delta class of f's output depends only on the classes of
     its inputs; exactly the tables realizable by formulas."""
-    return delta_classes_respected(bytes(f.entries), f.arity)
+    return delta_classes_respected(f.packed, f.arity)
 
 
 # The delta class of each entry value: 0 for {0, rho}, 1 for {sigma, 1}.
@@ -374,18 +373,18 @@ def delta_preserving_tables(arity: int) -> Iterator[FuncTable]:
         for blk in blocks
     ]
     for choice in itertools.product(*options):
-        entries: list[Element] = [_Z] * 4**arity
+        packed = bytearray(4**arity)
         for blk, assignment in zip(blocks, choice):
             for pos, value in zip(blk, assignment):
-                entries[pos] = value
-        yield FuncTable(arity, tuple(entries))
+                packed[pos] = value
+        yield FuncTable(arity, packed)
 
 
 def random_delta_preserving_table(arity: int, rng) -> FuncTable:
     """One delta-class-respecting table drawn uniformly via an rng."""
-    entries: list[Element] = [_Z] * 4**arity
+    packed = bytearray(4**arity)
     for blk in _blocks(arity):
         out_class = _CLASS_ELEMS[rng.random() < 0.5]
         for pos in blk:
-            entries[pos] = rng.choice(out_class)
-    return FuncTable(arity, tuple(entries))
+            packed[pos] = rng.choice(out_class)
+    return FuncTable(arity, packed)

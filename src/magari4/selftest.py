@@ -136,10 +136,9 @@ def _class_check_tables(seed: int) -> list[FuncTable]:
     for arity, count in _CLASS_CHECKS.items():
         for _ in range(count):
             table = random_delta_preserving_table(arity, rng)
-            entries = list(table.entries)
-            k = rng.randrange(len(entries))
-            entries[k] = ELEMENTS[entries[k] ^ 2]
-            tables += [table, FuncTable(arity, tuple(entries))]
+            packed = bytearray(table.packed)
+            packed[rng.randrange(len(packed))] ^= 2
+            tables += [table, FuncTable(arity, packed)]
     return tables
 
 

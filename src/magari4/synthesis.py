@@ -19,7 +19,7 @@ from .formula import (MAX_TABLE_VARS, Binary, Const, Formula, Unary, Var, _tabul
                       packed_connectives)
 from .preservation import (column_text, delta_pairing_relation, find_violation,
                            preserves_delta_pairing)
-from .tables import FuncTable, compose_lanes, constant_table, pack, projection_packed
+from .tables import FuncTable, compose_lanes, constant_table, projection_packed
 
 
 class NotRepresentable(ValueError):
@@ -70,7 +70,7 @@ def synthesize(
         raise ValueError(f"duplicate variable name in {list(names)}")
     for name in names:  # each name's Var, built here so that Var checks every name
         _unary(_PROJECTION, name)
-    return _compact(bytes(f.entries), names)[0]
+    return _compact(f.packed, names)[0]
 
 
 @functools.cache
@@ -80,7 +80,7 @@ def _atlas() -> dict[int, tuple]:
     (Knuth, TAOCP 4A, 7.1.2) combines only least recipes, as a least
     formula's operands may be least formulas of their own tables."""
     unary, binary = packed_connectives(1)
-    atlas = {pack(constant_table(v)): (Const, v) for v in ELEMENTS}
+    atlas = {int.from_bytes(constant_table(v).packed, "little"): (Const, v) for v in ELEMENTS}
     atlas[_PROJECTION] = (Var,)
     by_size = [[], list(atlas)]  # the tables first reached at each size
     while len(atlas) < 64:

@@ -5,18 +5,12 @@ tuples run through (0, r, s, 1) per position with the first argument most
 significant.  The text format is `<arity>:<entries>` with entries a string
 over {0, r, s, 1}, e.g. the delta operation is `1:ss11`.
 
-The packed form of a table gives each entry one byte, entry k in byte k:
-as an int (little-endian) for bitwise work, as bytes for `bytes.translate`.
-A "lane" is one byte position; several tables laid end to end are
-evaluated lane by lane at once.  Packing, unpacking, packed projections,
-the bitwise masks and `compose_lanes`, the one composition kernel, live
-here; the formula module's bitwise walk works on the same form.
-
-A unary table also has a second form, owned here too: its code, one byte
-with entry x in bits 2x..2x+1, so the identity is 0xE4 and the constant c
-is c * 0x55.  UNARY_TABLES holds the one shared table of each code, which
-`unpack(packed, 1)` returns, and `compose_codes` runs `compose_lanes` on
-lanes of codes, one byte per table.
+A table holds its entries packed, one byte each, entry k in byte k: as
+bytes for `bytes.translate`, and read as a little-endian int for bitwise
+work.  A "lane" is one byte position; several tables laid end to end are
+evaluated lane by lane at once.  The packed projections, the bitwise
+masks and `compose_lanes`, the one composition kernel, live here; the
+formula module's bitwise walk works on the same form.
 """
 
 from __future__ import annotations
@@ -24,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import ELEMENTS, Element
 
@@ -41,30 +35,56 @@ def linear_index(args: Sequence[Element]) -> int:
     return idx
 
 
-@dataclass(frozen=True)
-class FuncTable:
-    arity: int
-    entries: tuple[Element, ...]
+_ENTRY_BYTES = b"\0\1\2\3"
+_TO_TOKENS = bytes.maketrans(_ENTRY_BYTES, b"0rs1")
+# Entry tokens to their bytes, and every other byte to 255, which is no entry.
+_FROM_TOKENS = bytes(b"0rs1".find(c) % 256 for c in range(256))
 
-    def __post_init__(self) -> None:
-        if self.arity < 0:
+
+@dataclass(frozen=True, slots=True, init=False, eq=False)
+class FuncTable:
+    """An arity-ary table with its entries packed in `packed`.  entries may
+    be Elements, ints or bytes, each in 0..3."""
+
+    arity: int
+    packed: bytes
+
+    def __init__(self, arity: int, entries: bytes | Iterable[int]) -> None:
+        if arity < 0:
             raise ValueError("arity must be >= 0")
+        # tuple() refuses an int, which bytes() would take as a length
+        packed = entries if type(entries) is bytes else bytes(tuple(entries))
         # 4**arity entries is 1 followed by 2*arity zero bits: no power of
         # a huge arity is built to refuse it
-        n = len(self.entries)
-        if n.bit_length() != 2 * self.arity + 1 or n & (n - 1):
-            raise ValueError(f"arity {self.arity} needs 4**{self.arity} entries, got {n}")
+        n = len(packed)
+        if n.bit_length() != 2 * arity + 1 or n & (n - 1):
+            raise ValueError(f"arity {arity} needs 4**{arity} entries, got {n}")
+        if packed.strip(_ENTRY_BYTES):  # what is left is not an entry
+            raise ValueError(f"table entries must lie in 0..3, got {max(packed)}")
+        _set_arity(self, arity)
+        _set_packed(self, packed)
+
+    def __eq__(self, other: object) -> bool:
+        # the length of packed fixes the arity
+        return self.packed == other.packed if isinstance(other, FuncTable) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.packed)
+
+    @property
+    def entries(self) -> tuple[Element, ...]:
+        """The entries as Elements, in enumeration order."""
+        return tuple([ELEMENTS[v] for v in self.packed])
 
     def apply(self, args: Sequence[Element]) -> Element:
         if len(args) != self.arity:
             raise ValueError(f"expected {self.arity} argument(s), got {len(args)}")
-        return self.entries[linear_index(args)]
+        return ELEMENTS[self.packed[linear_index(args)]]
 
-    def __getitem__(self, args: Sequence[Element]) -> Element:
-        return self.apply(args)
+    __getitem__ = apply
 
     def to_text(self) -> str:
-        return f"{self.arity}:{''.join(e.token for e in self.entries)}"
+        return f"{self.arity}:{self.packed.translate(_TO_TOKENS).decode()}"
 
     @classmethod
     def from_text(cls, text: str) -> "FuncTable":
@@ -75,58 +95,34 @@ class FuncTable:
             arity = int(head)
         except ValueError:
             raise ValueError(f"bad table arity: {head!r}") from None
-        entries = []
-        for ch in body:
-            if ch not in "0rs1":
-                raise ValueError(f"bad table entry character: {ch!r}")
-            entries.append(Element.from_token(ch))
-        return cls(arity, tuple(entries))
+        # one byte per character: a non-ASCII one reads as "?", which is no token
+        packed = body.encode("ascii", "replace").translate(_FROM_TOKENS)
+        if 255 in packed:
+            raise ValueError(f"bad table entry character: {body[packed.index(255)]!r}")
+        return cls(arity, packed)
 
-    def __str__(self) -> str:
-        return self.to_text()
+    __str__ = to_text
+
+
+# The slots' own setters, as the frozen FuncTable refuses assignment.
+_set_arity, _set_packed = FuncTable.arity.__set__, FuncTable.packed.__set__
 
 
 def constant_table(value: Element, arity: int = 1) -> FuncTable:
-    return FuncTable(arity, (value,) * (4**arity))
+    return FuncTable(arity, bytes((value,)) * 4**arity)
 
 
 def projection(arity: int, index: int) -> FuncTable:
     """The arity-ary table returning its index-th argument (0-based)."""
     if not 0 <= index < arity:
         raise ValueError(f"projection index {index} out of range for arity {arity}")
-    return FuncTable(arity, tuple(pt[index] for pt in points(arity)))
-
-
-def pack(t: FuncTable) -> int:
-    return int.from_bytes(bytes(t.entries), "little")
-
-
-def unary_code(entries: Sequence[int]) -> int:
-    """The code of a unary table: entry x in bits 2x..2x+1."""
-    a, b, c, d = entries
-    if a | b | c | d > 3:
-        raise ValueError(f"table entries must lie in 0..3, got {tuple(entries)}")
-    return a | b << 2 | c << 4 | d << 6
-
-
-# The unary table of each code, built once and shared.
-UNARY_TABLES = tuple(
-    FuncTable(1, tuple(ELEMENTS[code >> 2 * x & 3] for x in range(4))) for code in range(256)
-)
-
-
-def unpack(packed: int | bytes, arity: int) -> FuncTable:
-    """The table of a packed form; a unary one is the shared table of its code."""
-    if isinstance(packed, int):
-        packed = packed.to_bytes(4**arity, "little")
-    if arity == 1:
-        return UNARY_TABLES[unary_code(packed)]
-    return FuncTable(arity, tuple(map(ELEMENTS.__getitem__, packed)))
+    stride = 4 ** (arity - 1 - index)
+    return FuncTable(arity, b"".join(bytes((v,)) * stride for v in range(4)) * 4**index)
 
 
 @functools.lru_cache(maxsize=None)
 def projection_packed(arity: int, index: int) -> int:
-    return pack(projection(arity, index))
+    return int.from_bytes(projection(arity, index).packed, "little")
 
 
 @functools.lru_cache(maxsize=None)
@@ -155,6 +151,20 @@ def compose_lanes(flat: bytes, args: Sequence[int], width: int) -> bytes:
         pick = compose_lanes(bytes(3 * (x == v) for x in range(4)), args[:1], width)
         out |= int.from_bytes(part, "little") & int.from_bytes(pick, "little")
     return out.to_bytes(width, "little")
+
+
+def unary_code(entries: Sequence[int]) -> int:
+    """The code of a unary table, the form the closure oracle composes:
+    one byte, entry x in bits 2x..2x+1, so the identity is 0xE4 and the
+    constant c is c * 0x55."""
+    a, b, c, d = entries
+    return a | b << 2 | c << 4 | d << 6
+
+
+@functools.cache  # at most 256 codes; a unary fragment builds up to 64 tables
+def unary_entries(code: int) -> bytes:
+    """The packed entries of a unary table's code: bits 2x..2x+1 go to byte x."""
+    return ((code | code << 6 | code << 12 | code << 18) & 0x03030303).to_bytes(4, "little")
 
 
 def compose_codes(flat: bytes, lanes: Sequence[bytes], count: int) -> bytes:

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import magari4
+from magari4 import cli
 from magari4.cli import run
 from magari4.closure import COMPOSE_BUDGET
 from magari4.constants import TwelveSystem
@@ -338,6 +339,18 @@ def test_closure_past_the_budget_is_usage_error(tmp_path):
         f"error: the arity-2 closure needs more than {COMPOSE_BUDGET} "
         "table compositions\n"
     )
+
+
+def test_running_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch):
+    # exit 1 would claim a negative answer
+    def exhausted(sigma, k):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "closure_fragment", exhausted)
+    sigma = tmp_path / "sigma.txt"
+    sigma.write_text("~ p\n")
+    code, out, err = invoke(capsys, "closure", "--sigma", str(sigma))
+    assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
 def _write_canned(tmp_path):

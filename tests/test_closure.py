@@ -24,7 +24,7 @@ from magari4.preservation import (
     random_delta_preserving_table,
 )
 from magari4.selftest import canned_system
-from magari4.tables import UNARY_TABLES, FuncTable, constant_table, points, projection, unary_code
+from magari4.tables import FuncTable, constant_table, points, projection, unary_code, unary_entries
 
 Z, R, S, O = ELEMENTS
 
@@ -445,7 +445,9 @@ def test_unary_fragments_of_members_of_arity_4_and_5():
     assert constants_seen >= 1
 
 
-def test_unary_fragments_hold_the_shared_table_of_each_code():
+def test_unary_fragments_hold_the_table_of_each_code():
     for sigma in (CONNECTIVE_SIGMA, PROBE_SIGMA, SystemSigma((("not", NOT),))):
-        for t in closure_fragment(sigma, 1).tables:
-            assert t is UNARY_TABLES[unary_code(t.entries)]
+        tables = closure_fragment(sigma, 1).tables
+        codes = [unary_code(t.packed) for t in tables]
+        assert frozenset(FuncTable(1, unary_entries(code)) for code in codes) == tables
+        assert all(t.arity == 1 for t in tables)

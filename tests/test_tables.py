@@ -1,7 +1,11 @@
 """Function tables: construction, text format, and the composition kernel
 against the pointwise reference."""
 
+import copy
 import itertools
+import pickle
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -9,21 +13,20 @@ from hypothesis import strategies as st
 
 from conftest import compose_pointwise
 from magari4.algebra import ELEMENTS, Element
+from magari4.closure import SystemSigma, closure_fragment
 from magari4.constants import _tabulate, derive_all_constants
-from magari4.formula import parse, truth_table
+from magari4.formula import evaluate, parse, truth_table
 from magari4.selftest import canned_system
 from magari4.tables import (
-    UNARY_TABLES,
     FuncTable,
     compose_codes,
     compose_lanes,
     constant_table,
     linear_index,
-    pack,
     points,
     projection,
     unary_code,
-    unpack,
+    unary_entries,
 )
 
 Z, R, S, O = ELEMENTS
@@ -53,6 +56,38 @@ def test_entry_count_validation():
         FuncTable(99_999_999_999, (Z,) * 4)
 
 
+def test_elements_ints_and_bytes_build_one_table():
+    for entries in itertools.product(ELEMENTS, repeat=4):
+        ints = tuple(map(int, entries))
+        tables = [FuncTable(1, entries), FuncTable(1, ints), FuncTable(1, bytes(ints))]
+        assert tables[0] == tables[1] == tables[2]
+        assert len({hash(t) for t in tables}) == 1
+        assert all(t.packed == bytes(ints) and t.entries == entries for t in tables)
+    wide = FuncTable(2, [int(x) ^ int(y) for x, y in points(2)])
+    assert wide == FuncTable(2, bytes(wide.packed)) != FuncTable(1, wide.packed[:4])
+    assert DELTA != NOT and wide != FuncTable(2, wide.packed[1:] + wide.packed[:1])
+
+
+def test_an_entry_outside_the_carrier_is_refused():
+    for arity, entries in ((1, (Z, R, S, 4)), (1, b"\0\1\2\4"), (1, (255, 0, 0, 0)),
+                           (2, b"\x10" * 16)):
+        with pytest.raises(ValueError, match="0..3"):
+            FuncTable(arity, entries)
+    with pytest.raises(ValueError):
+        FuncTable(1, (0, 1, 2, -1))
+    with pytest.raises(TypeError):
+        FuncTable(1, 4)  # a count, not entries
+
+
+def test_a_table_is_immutable_and_copies_by_value():
+    with pytest.raises(AttributeError):
+        DELTA.packed = b"\0" * 4
+    with pytest.raises(AttributeError):
+        del DELTA.arity
+    for twin in (copy.copy(DELTA), copy.deepcopy(AND), pickle.loads(pickle.dumps(AND))):
+        assert twin in (DELTA, AND)
+
+
 def test_apply_and_getitem():
     assert DELTA.apply((Z,)) is S
     assert DELTA[(O,)] is O
@@ -66,6 +101,16 @@ def test_text_round_trip():
         assert FuncTable.from_text(text).to_text() == text
 
 
+def test_text_round_trips_every_unary_and_seeded_binary_tables():
+    rng = random.Random(31)
+    binary = [FuncTable(2, [rng.randrange(4) for _ in range(16)]) for _ in range(200)]
+    unary = [FuncTable(1, entries) for entries in itertools.product(ELEMENTS, repeat=4)]
+    for t in unary + binary:
+        text = t.to_text()
+        assert text == f"{t.arity}:" + "".join(e.token for e in t.entries)
+        assert FuncTable.from_text(text) == t
+
+
 def test_text_errors():
     with pytest.raises(ValueError):
         FuncTable.from_text("ss11")
@@ -75,6 +120,8 @@ def test_text_errors():
         FuncTable.from_text("1:ssx1")
     with pytest.raises(ValueError):
         FuncTable.from_text("1:ss1")  # wrong length
+    with pytest.raises(ValueError, match="'é'"):
+        FuncTable.from_text("1:ssé1")  # named, though not ASCII
 
 
 def test_projection_and_constant():
@@ -93,7 +140,8 @@ def test_projection_and_constant():
 def compose_by_kernel(g, args):
     """compose_lanes over the packed arguments, read back as a table."""
     k = args[0].arity
-    return unpack(compose_lanes(bytes(g.entries), [pack(t) for t in args], 4**k), k)
+    lanes = [int.from_bytes(t.packed, "little") for t in args]
+    return FuncTable(k, compose_lanes(g.packed, lanes, 4**k))
 
 
 def test_compose_against_pointwise_oracle():
@@ -133,30 +181,39 @@ def test_compose_projection_identity():
 # ---------------------------------------------------------------------------
 
 
-def test_every_unary_table_round_trips_through_its_code_to_the_shared_table():
-    assert unary_code(projection(1, 0).entries) == 0xE4
+def test_every_unary_table_round_trips_through_its_code():
+    assert unary_code(projection(1, 0).packed) == 0xE4
     for c in ELEMENTS:
-        assert unary_code(constant_table(c, 1).entries) == c * 0x55
-    codes = set()
-    for entries in itertools.product(ELEMENTS, repeat=4):
-        t = FuncTable(1, entries)  # a fresh table, not the shared one
-        code = unary_code(t.entries)
-        codes.add(code)
-        assert UNARY_TABLES[code] == t
-        assert unpack(pack(t), 1) is unpack(bytes(t.entries), 1) is UNARY_TABLES[code]
-    assert codes == set(range(256))
-    with pytest.raises(ValueError):
-        unpack(bytes((0, 1, 2, 4)), 1)
+        assert unary_code(constant_table(c, 1).packed) == c * 0x55
+    tables = [FuncTable(1, entries) for entries in itertools.product(ELEMENTS, repeat=4)]
+    codes = [unary_code(t.packed) for t in tables]
+    assert set(codes) == set(range(256))
+    assert [FuncTable(1, unary_entries(code)) for code in codes] == tables
 
 
-def test_one_variable_tabulations_return_the_shared_tables():
+def test_one_variable_tabulations_agree_with_their_references():
     f = parse("# ~ p -> p")
     t = truth_table(f, ("p",))
-    assert t is truth_table(f, ("p",)) is UNARY_TABLES[unary_code(t.entries)]
+    assert t == truth_table(f, ("p",))  # again, through the last call's memo
+    assert t.entries == tuple(evaluate(f, {"p": x}) for x in ELEMENTS)
     system = canned_system()
-    for derivation in derive_all_constants(system).values():
+    for value, derivation in derive_all_constants(system).items():
         t = derivation.realized
-        assert t is _tabulate(derivation.term, system) is UNARY_TABLES[unary_code(t.entries)]
+        assert t == _tabulate(derivation.term, system) == constant_table(value, 1)
+
+
+def test_constant_tables_are_found_in_the_fragments_as_the_bench_and_cli_ask():
+    for members, reached in (((DELTA, NOT), ELEMENTS), ((DELTA,), (O,))):
+        sigma = SystemSigma(tuple((f"g{i}", t) for i, t in enumerate(members)))
+        unary, binary = closure_fragment(sigma, 1), closure_fragment(sigma, 2)
+        for e in ELEMENTS:
+            assert (FuncTable(1, (e,) * 4) in unary.tables) == (e in reached)
+            assert (constant_table(e, 2) in binary.tables) == (e in reached)
+
+
+def test_a_wide_table_holds_one_byte_per_entry():
+    t = truth_table(parse(" & ".join(f"p{i}" for i in range(8))), [f"p{i}" for i in range(8)])
+    assert sys.getsizeof(t.packed) <= 4**8 + 64
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -165,8 +222,8 @@ def test_one_variable_tabulations_return_the_shared_tables():
 def test_compose_codes_matches_apply_on_random_tables(case):
     # each composition's arguments sit at one position of the code lanes
     g, compositions = case
-    lanes = [bytes(unary_code(args[i].entries) for args in compositions) for i in range(g.arity)]
-    got = compose_codes(bytes(g.entries), lanes, len(compositions))
-    assert [UNARY_TABLES[code] for code in got] == [
+    lanes = [bytes(unary_code(args[i].packed) for args in compositions) for i in range(g.arity)]
+    got = compose_codes(g.packed, lanes, len(compositions))
+    assert [FuncTable(1, unary_entries(code)) for code in got] == [
         compose_pointwise(g, args) for args in compositions
     ]
