@@ -23,8 +23,6 @@ from .constants import (
     derive_all_constants,
 )
 from .formula import (
-    EvaluationError,
-    ParseError,
     counterexample,
     evaluate,
     format_formula,
@@ -241,7 +239,8 @@ def _cmd_derive_constants(args) -> int:
     formulas: dict[int, str] = {}
     for label, body in _read_sigma_lines(args.sigma):
         if not label or not label.upper().startswith("F") or not label[1:].isdigit():
-            raise _UsageError(f"expected lines like 'F3: <formula>', got {label!r}")
+            line = body if label is None else f"{label}: {body}"
+            raise _UsageError(f"expected lines like 'F3: <formula>', got {line!r}")
         index = int(label[1:])
         if index in formulas:
             raise _UsageError(f"duplicate member F{index}")
@@ -365,9 +364,6 @@ def run(argv: list[str]) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ParseError, EvaluationError, _UsageError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return USAGE_ERROR
@@ -377,7 +373,7 @@ def run(argv: list[str]) -> int:
     except PreconditionViolated as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # parse, evaluation and usage errors too
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except InternalProofCheckFailed as exc:

@@ -1,4 +1,5 @@
-"""Derivation of the four constant tables from a twelve-member system.
+"""The twelve-member system, and the lemma engine that derives the four
+constant tables from it.
 
 Given formulas F1..F12 that each break the corresponding built-in relation
 R1..R12, the engine composes them by weak substitution into terms that
@@ -16,21 +17,22 @@ A TwelveSystem verifies each member's representability and violation
 witness when it is built, so the engine trusts the type.  Every step's
 claim is verified on the realized table before the engine proceeds; a
 failed check is a hard error, never a fallback.
-Derivations record the term (leaves are the variable p, or q inside
-binary intermediates; applications name system members), the realized
-table (recomputed from the term, never trusted), and the ordered claim
-trace.
+Derivations record the term (a formula.TermApply whose applications name
+system members and whose leaves are the formula variable p, or q inside
+binary intermediates), the realized table over p (recomputed from the
+term, never trusted), and the ordered claim trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 from .algebra import ELEMENTS, HIGH, LOW, Element, delta
 from .formula import (
-    Formula, Var, _dag_fold, _dag_node, _walker, free_vars, parse, substitute_all, truth_table,
+    Formula, Term, TermApply, Var, _dag_fold, free_vars, parse, substitute_all, term_subst,
+    term_table, term_text, truth_table,
 )
 from .preservation import (
     ViolationWitness,
@@ -40,7 +42,7 @@ from .preservation import (
     preserves_delta_pairing,
 )
 from .synthesis import default_var_names, synthesize
-from .tables import FuncTable, compose_lanes, constant_table
+from .tables import FuncTable, constant_table
 from .closure import SystemSigma
 
 
@@ -58,108 +60,7 @@ class InternalProofCheckFailed(RuntimeError):
 
 
 _Z, _R, _S, _O = ELEMENTS
-
-
-# ---------------------------------------------------------------------------
-# Terms: weak-substitution trees over system members
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TermVar:
-    name: str
-
-
-# a tuple node (label, *args), so it shares the formula nodes' DAG
-# protocol (see formula._dag_node); its repr too runs on _dag_fold
-@_dag_node
-class TermApply(tuple):
-    __slots__ = ()
-
-    def __new__(cls, label: str, args: tuple["Term", ...]) -> "TermApply":
-        return tuple.__new__(cls, (label, *args))
-
-    @property
-    def label(self) -> str:
-        return self[0]
-
-    @property
-    def args(self) -> tuple["Term", ...]:
-        return self[1:]
-
-    def __repr__(self) -> str:
-        """Each distinct application once, as `%k = label[args]`, innermost
-        first: F1[t, t] over one shared t = F2[p] reads
-        `TermApply(%0 = F2[p], %1 = F1[%0,%0])`."""
-        lines: list[str] = []
-
-        def name(node: TermApply, args: list[str]) -> str:
-            lines.append(f"%{len(lines)} = {node.label}[{','.join(args)}]")
-            return f"%{len(lines) - 1}"
-
-        _dag_fold(self, lambda v: v.name, name)
-        return f"TermApply({', '.join(lines)})"
-
-
-Term = Union[TermVar, TermApply]
-
-
-def term_subst(term: Term, mapping: Mapping[str, Term]) -> Term:
-    return _dag_fold(
-        term,
-        lambda v: mapping.get(v.name, v),
-        lambda node, args: TermApply(node.label, args),
-    )
-
-
-def term_text(term: Term) -> str:
-    return _dag_fold(
-        term,
-        lambda v: v.name,
-        lambda node, args: f"{node.label}[{','.join(args)}]",
-    )
-
-
-def term_table(
-    term: Term, var_order: Sequence[str], tables: Mapping[str, FuncTable]
-) -> FuncTable:
-    """Tabulate term over all valuations of var_order, first variable most
-    significant, composing the members' tables.
-
-    var_order must cover every variable of term, contain no duplicates and
-    hold at most MAX_TABLE_VARS variables, as for truth_table, and tables
-    must name every member term applies."""
-    return _term_table(term, tuple(var_order), tables)
-
-
-def _term_table(
-    term: Term, var_order: tuple[str, ...], tables: Mapping[str, FuncTable],
-    known: dict | None = None,
-) -> FuncTable:
-    """term_table; known holds the packed tables of term nodes already
-    tabulated over the same var_order and tables (see _dag_fold).
-    var_order is checked, and its projections are built, once per order,
-    by the walker truth_table uses."""
-    env = _walker(var_order)[0]
-    size = 4 ** len(var_order)
-
-    def compose(node: TermApply, args: list[int]) -> int:
-        table = tables[node.label]
-        if len(args) != table.arity:
-            raise ValueError(f"{node.label} expects {table.arity} argument(s)")
-        return int.from_bytes(compose_lanes(table.packed, args, size), "little")
-
-    try:
-        packed = _dag_fold(term, lambda v: env[v.name], compose, known)
-    except KeyError:  # a variable outside var_order or an unknown member
-        names: set[str] = set()
-        labels: set[str] = set()
-        _dag_fold(term, lambda v: names.add(v.name), lambda node, _: labels.add(node.label))
-        missing, unknown = sorted(names - set(var_order)), sorted(labels - set(tables))
-        problems = [f"var_order misses term variable(s): {missing}"] if missing else []
-        problems += [f"no table for member(s): {unknown}"] if unknown else []
-        raise ValueError("; ".join(problems)) from None
-    return FuncTable(len(var_order), packed.to_bytes(size, "little"))
+_P, _Q = Var("p"), Var("q")  # the variables of the engine's terms
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +206,6 @@ TraceStep = tuple[str, str]
 @dataclass(frozen=True)
 class Derivation:
     term: Term
-    var_order: tuple[str, ...]
     realized: FuncTable
     trace: tuple[TraceStep, ...]
     system: TwelveSystem = field(repr=False, compare=False)
@@ -331,9 +231,7 @@ class Derivation:
             member = members[node.label]
             return substitute_all(member.formula, dict(zip(member.var_order, args)))
 
-        return _dag_fold(
-            self.term, lambda v: Var(v.name), substitute, self.system._expansions
-        )
+        return _dag_fold(self.term, lambda v: v, substitute, self.system._expansions)
 
     def is_constant(self) -> bool:
         return len(set(self.realized.entries)) == 1
@@ -342,7 +240,7 @@ class Derivation:
 def _tabulate(term: Term, system: TwelveSystem) -> FuncTable:
     """term_table over p alone, reusing the system's tables of the term
     nodes tabulated against it."""
-    return _term_table(term, ("p",), system.tables(), system._tabulated)
+    return term_table(term, ("p",), system.tables(), system._tabulated)
 
 
 def _check(cond: bool, trace: list[TraceStep], step: str, claim: str) -> None:
@@ -391,7 +289,7 @@ def _collapse(
     trace: list[TraceStep] = [
         (f"lemma{i}.witness", f"F{i} maps columns ({cols}) of R{i} to ({img}) outside")
     ]
-    term = TermApply(m.label, (TermVar("p"),) * m.table.arity)
+    term = TermApply(m.label, (_P,) * m.table.arity)
     realized = _tabulate(term, system)
     v = realized.entries[x]
     within = ",".join(e.token for e in ELEMENTS if e in allowed)
@@ -402,7 +300,7 @@ def _collapse(
         f"{name} := F{i} with every variable set to p; "
         f"{name}[{x.token}] = {v.token}, in {{{within}}}",
     )
-    return Derivation(term, ("p",), realized, tuple(trace), system)
+    return Derivation(term, realized, tuple(trace), system)
 
 
 def lemma3(A: Derivation, B: Derivation, system: TwelveSystem) -> Derivation:
@@ -434,7 +332,7 @@ def lemma3(A: Derivation, B: Derivation, system: TwelveSystem) -> Derivation:
             "lemma3.case1",
             f"B[A[B(p)]] is constant {v.token}, in {{0,r}}",
         )
-        return Derivation(final, ("p",), realized, tuple(trace), system)
+        return Derivation(final, realized, tuple(trace), system)
 
     trace.append(("lemma3.case2", f"B[0] = {b[0].token} lands in {{s,1}}; use F12"))
     m12 = system.member(12)
@@ -456,7 +354,7 @@ def lemma3(A: Derivation, B: Derivation, system: TwelveSystem) -> Derivation:
         )
     )
     dstar_term = _apply_witness(
-        m12, {col: TermVar("p" if k < 4 else "q") for k, col in enumerate(pair_order)}
+        m12, {col: _P if k < 4 else _Q for k, col in enumerate(pair_order)}
     )
     dstar = term_table(dstar_term, ("p", "q"), system.tables())
     d01 = dstar.entries[3]  # at (0, 1)
@@ -505,7 +403,7 @@ def lemma3(A: Derivation, B: Derivation, system: TwelveSystem) -> Derivation:
         "lemma3.case2",
         f"B[B[D'[p, B(p)]]] is constant {v.token}, in {{0,r}}",
     )
-    return Derivation(final, ("p",), realized, tuple(trace), system)
+    return Derivation(final, realized, tuple(trace), system)
 
 
 def lemma4(A: Derivation, B: Derivation, system: TwelveSystem) -> Derivation:
@@ -532,7 +430,7 @@ def _resolve(
 ) -> Derivation:
     """Route a candidate with [1] in {0, r} to the closing construction:
     lemma3 once [sigma] = [1], else the corrector for its profile."""
-    cand = Derivation(term, ("p",), realized, tuple(trace), system)
+    cand = Derivation(term, realized, tuple(trace), system)
     c = realized.entries
     if c[2] is c[3]:
         return lemma3(A, cand, system)
@@ -556,8 +454,6 @@ def _case_low_one(A: Derivation, cand: Derivation, system: TwelveSystem) -> Deri
         "lemma4.case1",
         "candidate maps sigma to 0 and 1 to r",
     )
-    p = TermVar("p")
-
     m3 = system.member(3)
     img3 = m3.witness.image[0]
     _check(
@@ -566,7 +462,7 @@ def _case_low_one(A: Derivation, cand: Derivation, system: TwelveSystem) -> Deri
         "lemma4.E",
         f"F3's witness over {{0,s}} has image {img3.token} in {{r,1}}",
     )
-    e_term = _apply_witness(m3, {(_Z,): cand.term, (_S,): p})
+    e_term = _apply_witness(m3, {(_Z,): cand.term, (_S,): _P})
     e_tab = _tabulate(e_term, system)
     _check(
         e_tab.entries[2] in (_R, _O),
@@ -597,7 +493,7 @@ def _case_low_one(A: Derivation, cand: Derivation, system: TwelveSystem) -> Deri
         "lemma4.H",
         f"F7's witness over {{0,r,s}} has image {img7.token} = 1",
     )
-    h_term = _apply_witness(m7, {(_Z,): cand.term, (_R,): estar_term, (_S,): p})
+    h_term = _apply_witness(m7, {(_Z,): cand.term, (_R,): estar_term, (_S,): _P})
     h_tab = _tabulate(h_term, system)
     _check(
         h_tab.entries[2] is _O,
@@ -630,7 +526,7 @@ def _case_low_one(A: Derivation, cand: Derivation, system: TwelveSystem) -> Deri
     j_slot = {
         (_Z, _R): cand.term,
         (_R, _Z): estar_term,
-        (_S, _O): p,
+        (_S, _O): _P,
         (_O, _S): h_term,  # the only available profile with [sigma]=1, [1]=s
     }
     j_term = _apply_witness(m11, j_slot)
@@ -674,7 +570,7 @@ def _case_low_zero(A: Derivation, cand: Derivation, system: TwelveSystem) -> Der
         "lemma4.S",
         f"F4's witness over {{0,1}} has image {img4.token} in {{r,s}}",
     )
-    s_term = _apply_witness(m4, {(_Z,): cand.term, (_O,): TermVar("p")})
+    s_term = _apply_witness(m4, {(_Z,): cand.term, (_O,): _P})
     s_tab = _tabulate(s_term, system)
     _check(
         s_tab.entries[3] in (_R, _S),
@@ -739,7 +635,7 @@ def lemma5(
                 f"term for constant {value.token} realizes {realized.to_text()}"
             )
         done = ("lemma5.done", f"constant {value.token} realized")
-        out[value] = Derivation(term, ("p",), realized, tuple(trace + [done]), system)
+        out[value] = Derivation(term, realized, tuple(trace + [done]), system)
     return out
 
 

@@ -1,4 +1,5 @@
-"""Formulas over the four-element algebra: AST, parser, printer, evaluator.
+"""Formulas over the four-element algebra: AST, parser, printer, evaluator;
+and the composition terms over a system's members.
 
 Concrete syntax (EBNF):
 
@@ -20,13 +21,15 @@ explicit-stack folds, so no function here is limited by a formula's depth.
 Node layout: `Var` and `Const` are frozen dataclasses, while the compound
 nodes `Unary(op, child)` and `Binary(op, left, right)` are immutable tuple
 subclasses (`typing.NamedTuple`), so building one is a C-level
-`tuple.__new__`.  A term application, `constants.TermApply`, is the same
-kind of node, `(label, *args)`, and all three share one DAG protocol
-(`_dag_node`) on one generic fold, `_dag_fold`, whose operands are
-`node[1:]`.  Their contract is the named fields, `==`, `!=`, `hash` and
-`repr`, which walk the DAG (a node compared with itself is equal at once)
-and never compare with a plain tuple or with another node type,
-immutability (`copy.copy` returns the node), and `copy.deepcopy` and
+`tuple.__new__`.  The terms of the constant-derivation engine live here
+too: a term application, `TermApply`, is the same kind of node, `(label,
+*args)`, over `Var` leaves, and `term_subst`, `term_text` and `term_table`
+are its substitution, printer and tabulator.  All three node types share
+one DAG protocol (`_dag_node`) on one generic fold, `_dag_fold`, whose
+operands are `node[1:]`.  Their contract is the named fields, `==`, `!=`,
+`hash` and `repr`, which walk the DAG (a node compared with itself is
+equal at once) and never compare with a plain tuple or with another node
+type, immutability (`copy.copy` returns the node), and `copy.deepcopy` and
 `pickle`, which go through a flat list of the distinct nodes, so both
 kinds take any depth; ordering (`<`) raises TypeError.  The tuple
 behaviours they inherit (`len`, iteration, indexing, unpacking, `+`) are
@@ -53,7 +56,6 @@ every valuation over the four elements.
 
 from __future__ import annotations
 
-import copy
 import re
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -61,7 +63,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from .algebra import Connective, Element, apply
-from .tables import FuncTable, packed_masks, points, projection_packed
+from .tables import FuncTable, compose_lanes, packed_masks, points, projection_packed
 
 
 class ParseError(ValueError):
@@ -293,21 +295,18 @@ def _rebuild(nodes: list) -> tuple:
     return built[-1]
 
 
-def _dag_deepcopy(root: tuple, memo: dict) -> tuple:
-    return _rebuild([e if type(e) is tuple else copy.deepcopy(e, memo) for e in _flatten(root)])
-
-
 def _dag_reduce(root: tuple):
     return _rebuild, (_flatten(root),)
 
 
 def _dag_node(cls: type) -> type:
     """Give a tuple node class the DAG protocol that Unary, Binary and
-    constants.TermApply share (see the module docstring): a tower of shared
-    operands costs its distinct nodes, not its tree, and any depth is taken."""
+    TermApply share (see the module docstring): a tower of shared operands
+    costs its distinct nodes, not its tree, and any depth is taken."""
     cls.__eq__, cls.__ne__, cls.__hash__ = _dag_eq, _dag_ne, _dag_hash
     cls.__copy__ = lambda node: node  # immutable, so its own shallow copy, as a tuple is
-    cls.__deepcopy__, cls.__reduce__ = _dag_deepcopy, _dag_reduce
+    # copy.deepcopy goes through __reduce__ too: it deep-copies the flat node list
+    cls.__reduce__ = _dag_reduce
     cls.__lt__ = cls.__le__ = cls.__gt__ = cls.__ge__ = _unordered
     return cls
 
@@ -342,6 +341,98 @@ def iff_formula(a: Formula, b: Formula) -> Formula:
     return Binary(
         Connective.AND, Binary(Connective.IMP, a, b), Binary(Connective.IMP, b, a)
     )
+
+
+# ---------------------------------------------------------------------------
+# Terms: weak-substitution trees over the members of a system
+# ---------------------------------------------------------------------------
+
+
+# a tuple node (label, *args) whose leaves are Vars; its repr too runs on
+# _dag_fold
+@_dag_node
+class TermApply(tuple):
+    __slots__ = ()
+
+    def __new__(cls, label: str, args: tuple["Term", ...]) -> "TermApply":
+        return tuple.__new__(cls, (label, *args))
+
+    @property
+    def label(self) -> str:
+        return self[0]
+
+    @property
+    def args(self) -> tuple["Term", ...]:
+        return self[1:]
+
+    def __repr__(self) -> str:
+        """Each distinct application once, as `%k = label[args]`, innermost
+        first: F1[t, t] over one shared t = F2[p] reads
+        `TermApply(%0 = F2[p], %1 = F1[%0,%0])`."""
+        lines: list[str] = []
+
+        def name(node: TermApply, args: list[str]) -> str:
+            lines.append(f"%{len(lines)} = {node.label}[{','.join(args)}]")
+            return f"%{len(lines) - 1}"
+
+        _dag_fold(self, lambda v: v.name, name)
+        return f"TermApply({', '.join(lines)})"
+
+
+Term = Union[Var, TermApply]
+
+
+def term_subst(term: Term, mapping: Mapping[str, Term]) -> Term:
+    return _dag_fold(
+        term,
+        lambda v: mapping.get(v.name, v),
+        lambda node, args: TermApply(node.label, args),
+    )
+
+
+def term_text(term: Term) -> str:
+    return _dag_fold(
+        term,
+        lambda v: v.name,
+        lambda node, args: f"{node.label}[{','.join(args)}]",
+    )
+
+
+def term_table(
+    term: Term, var_order: Sequence[str], tables: Mapping[str, FuncTable],
+    known: dict | None = None,
+) -> FuncTable:
+    """Tabulate term over all valuations of var_order, first variable most
+    significant, composing the members' tables.
+
+    var_order must cover every variable of term, contain no duplicates and
+    hold at most MAX_TABLE_VARS variables, as for truth_table, and tables
+    must name every member term applies.  var_order is checked, and its
+    projections are built, once per order, by the walker truth_table uses.
+    known, if given, holds the packed tables of term nodes already
+    tabulated over the same var_order and tables, and takes the ones this
+    call tabulates (see _dag_fold)."""
+    var_order = tuple(var_order)
+    env = _walker(var_order)[0]
+    size = 4 ** len(var_order)
+
+    def compose(node: TermApply, args: list[int]) -> int:
+        table = tables[node.label]
+        if len(args) != table.arity:
+            raise ValueError(f"{node.label} expects {table.arity} argument(s)")
+        return int.from_bytes(compose_lanes(table.packed, args, size), "little")
+
+    try:
+        packed = _dag_fold(term, lambda v: env[v.name], compose, known)
+    except KeyError:  # a variable outside var_order or an unknown member
+        names: set[str] = set()
+        labels: set[str] = set()
+        _dag_fold(term, lambda v: names.add(v.name), lambda node, _: labels.add(node.label))
+        missing, unknown = sorted(names - set(var_order)), sorted(labels - set(tables))
+        problems = [f"var_order misses term variable(s): {missing}"] if missing else []
+        problems += [f"no table for member(s): {unknown}"] if unknown else []
+        raise ValueError("; ".join(problems)) from None
+    return FuncTable(len(var_order), packed.to_bytes(size, "little"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,21 @@
 """Command-line front end: golden outputs, exit codes, JSON round-trips."""
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import magari4
 from magari4 import cli
@@ -435,6 +440,15 @@ def test_derive_constants_duplicate_member(tmp_path, capsys):
     assert "duplicate" in err
 
 
+@pytest.mark.parametrize("line", ["# p", "G1: p"])
+def test_derive_constants_names_a_line_without_an_f_label(tmp_path, capsys, line):
+    path = tmp_path / "sigma.txt"
+    path.write_text(line + "\n")
+    code, out, err = invoke(capsys, "derive-constants", "--sigma", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: expected lines like 'F3: <formula>', got {line!r}\n"
+
+
 # ---------------------------------------------------------------------------
 # selftest and dispatch
 # ---------------------------------------------------------------------------
@@ -490,3 +504,124 @@ def test_derivation_output_identical_across_processes(tmp_path):
     outs = [invoke_child("derive-constants", "--sigma", str(path)).stdout for _ in range(2)]
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["constants"]
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract on drawn inputs
+# ---------------------------------------------------------------------------
+
+_VARIABLES = ("p", "q", "r", "s")
+
+
+def _formula_texts(names=_VARIABLES):
+    """Small formulas in the concrete syntax, or text over its alphabet
+    that is mostly not a formula."""
+    atoms = st.sampled_from((*names, "0", "1", "rho", "sigma"))
+    formulas = st.recursive(
+        atoms,
+        lambda sub: st.one_of(
+            st.tuples(st.sampled_from(("~", "#", "[]")), sub).map("".join),
+            st.tuples(sub, st.sampled_from((" & ", " | ", " -> ", " <-> ")), sub).map(
+                lambda t: f"({''.join(t)})"
+            ),
+        ),
+        max_leaves=6,
+    )
+    junk = st.text(alphabet="pq01~#&|()-<>[] rs_é", max_size=12)
+    return st.one_of(formulas, formulas, formulas, junk)
+
+
+@st.composite
+def _table_texts(draw, max_arity=3):
+    """Table text of arity max_arity or less, or a near miss of it."""
+    if draw(st.booleans()):
+        arity = draw(st.integers(0, max_arity))
+        entries = draw(st.text(alphabet="0rs1", min_size=4**arity, max_size=4**arity))
+        return f"{arity}:{entries}"
+    return draw(st.text(alphabet="0123rs1x:-", max_size=10))
+
+
+_ENV = st.one_of(
+    st.lists(
+        st.tuples(st.sampled_from(_VARIABLES), st.sampled_from(("0", "r", "s", "1", "sigma"))),
+        max_size=4,
+    ).map(lambda pairs: ",".join(f"{name}={value}" for name, value in pairs)),
+    st.text(alphabet="pqx=0rs12,", max_size=8),
+)
+_VARS = st.lists(st.sampled_from((*_VARIABLES, "t", "rho", "1x", " ")), max_size=4).map(",".join)
+_RELATIONS = st.lists(
+    st.one_of(
+        st.integers(0, 13).map(lambda i: f"R{i}"),
+        st.lists(st.text(alphabet="0rs1", min_size=1, max_size=4), min_size=1, max_size=3).map(
+            ";".join
+        ),
+        st.text(alphabet="0rs1R;x", max_size=6),
+    ),
+    min_size=1,
+    max_size=3,
+).map(",".join)
+
+
+@st.composite
+def _system_files(draw):
+    """System file bytes: members of arity 2 or less, as formulas over p, q
+    or as table text, under optional labels; or a near miss of one."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.binary(max_size=40))
+    if draw(st.booleans()):  # the canned system, some lines replaced
+        lines = [f"F{i}: {CANNED_FORMULAS[i]}" for i in range(1, 13)]
+        for _ in range(draw(st.integers(0, 2))):
+            replaced = draw(st.sampled_from(("F5: p", "# p", "G1: ~p", "F13: p")))
+            lines[draw(st.integers(0, 11))] = replaced
+    else:
+        member = st.one_of(_formula_texts(("p", "q")), _table_texts(max_arity=2))
+        label = st.sampled_from(("", "g1: ", "F1: ", "F12: ", "G1: ", ": "))
+        lines = draw(st.lists(st.tuples(label, member).map("".join), max_size=4))
+    return "\n".join(lines).encode()
+
+
+@st.composite
+def _invocations(draw):
+    """argv for one subcommand, without the system file of closure and
+    derive-constants, and the bytes of that file (or None)."""
+    command = draw(st.sampled_from(
+        ("eval", "table", "equiv", "classify", "violations", "synthesize", "closure",
+         "derive-constants")
+    ))
+    json_flag = draw(st.sampled_from(((), ("--json",))))
+    if command == "eval":
+        return [command, draw(_formula_texts()), f"--env={draw(_ENV)}", *json_flag], None
+    if command == "table":
+        vars_flag = draw(st.sampled_from(((), (f"--vars={draw(_VARS)}",))))
+        return [command, draw(_formula_texts()), *vars_flag, *json_flag], None
+    if command == "equiv":
+        return [command, draw(_formula_texts()), draw(_formula_texts()), *json_flag], None
+    if command in ("classify", "violations"):
+        if draw(st.booleans()):
+            argv = [command, f"--table={draw(_table_texts())}"]
+        else:
+            argv = [command, draw(_formula_texts())]
+        if command == "violations" and draw(st.booleans()):
+            argv.append(f"--relations={draw(_RELATIONS)}")
+        return argv + list(json_flag), None
+    if command == "synthesize":
+        return [command, f"--table={draw(_table_texts())}", *json_flag], None
+    if command == "closure":
+        return [command, "--arity", "1"], draw(_system_files())
+    return [command], draw(_system_files())
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_invocations())
+def test_every_drawn_invocation_keeps_the_exit_code_contract(invocation):
+    argv, sigma = invocation
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if sigma is not None:
+            path = Path(tmp) / "sigma.txt"
+            path.write_bytes(sigma)
+            argv = [*argv, "--sigma", str(path)]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

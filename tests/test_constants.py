@@ -29,8 +29,6 @@ from magari4.closure import expressible_constants
 from magari4.constants import (
     Derivation,
     PreconditionViolated,
-    TermApply,
-    TermVar,
     TwelveSystem,
     derive_all_constants,
     lemma1_A,
@@ -38,17 +36,18 @@ from magari4.constants import (
     lemma3,
     lemma4,
     lemma5,
-    term_subst,
-    term_table,
-    term_text,
 )
 from magari4.formula import (
     Const,
+    TermApply,
     Var,
     format_formula,
     free_vars,
     parse,
     substitute_all,
+    term_subst,
+    term_table,
+    term_text,
     truth_table,
 )
 from magari4.preservation import ViolationWitness
@@ -72,7 +71,7 @@ def system(**overrides: str) -> TwelveSystem:
 
 def assert_sound(derivation: Derivation) -> None:
     """Expanding the term to a raw formula reproduces the realized table."""
-    expanded = truth_table(derivation.expand(), derivation.var_order)
+    expanded = truth_table(derivation.expand(), ("p",))
     assert expanded == derivation.realized
 
 
@@ -304,7 +303,7 @@ def test_expansions_survive_reused_ids():
     for _ in range(3000):
         term = random_two_level_term(rng, tables)
         realized = term_table(term, ("p",), tables)
-        expanded = Derivation(term, ("p",), realized, (), sysm).expand()
+        expanded = Derivation(term, realized, (), sysm).expand()
         assert truth_table(expanded, ("p",)) == realized
 
 
@@ -322,12 +321,12 @@ def test_copied_system_expands_its_own_terms():
         for _ in range(300):
             original = canned_system()
             term = random_two_level_term(rng, tables)
-            Derivation(term, ("p",), term_table(term, ("p",), tables), (), original).expand()
+            Derivation(term, term_table(term, ("p",), tables), (), original).expand()
             copied = duplicate(original)
             del original, term
             term = random_two_level_term(rng, tables)
             realized = term_table(term, ("p",), tables)
-            expanded = Derivation(term, ("p",), realized, (), copied).expand()
+            expanded = Derivation(term, realized, (), copied).expand()
             assert truth_table(expanded, ("p",)) == realized
 
 
@@ -337,7 +336,7 @@ def test_one_composition_per_distinct_tabulated_node(monkeypatch):
     # checked terms is composed once.  Lemma 3's two-variable tables are
     # not kept: each term_table call composes its own distinct nodes
     compositions, one_var, two_var = [], [], []
-    run_lanes, tabulate, table = constants.compose_lanes, constants._tabulate, term_table
+    run_lanes, tabulate, table = formula.compose_lanes, constants._tabulate, term_table
 
     def counting_lanes(*args):
         compositions.append(args)
@@ -347,11 +346,12 @@ def test_one_composition_per_distinct_tabulated_node(monkeypatch):
         one_var.append(term)
         return tabulate(term, sysm)
 
-    def counting_table(term, *args):
-        two_var.append(term)
-        return table(term, *args)
+    def counting_table(term, var_order, *args):
+        if len(var_order) == 2:  # _tabulate's one-variable calls are counted above
+            two_var.append(term)
+        return table(term, var_order, *args)
 
-    monkeypatch.setattr(constants, "compose_lanes", counting_lanes)
+    monkeypatch.setattr(formula, "compose_lanes", counting_lanes)
     monkeypatch.setattr(constants, "_tabulate", counting_tabulate)
     monkeypatch.setattr(constants, "term_table", counting_table)
     rng = make_rng(37)
@@ -420,7 +420,7 @@ def test_system_with_a_deep_member_deep_copies():
 
 def random_two_level_term(rng, tables) -> TermApply:
     inner, outer = rng.choice(sorted(tables)), rng.choice(sorted(tables))
-    term = TermApply(inner, (TermVar("p"),) * tables[inner].arity)
+    term = TermApply(inner, (Var("p"),) * tables[inner].arity)
     return TermApply(outer, (term,) * tables[outer].arity)
 
 
@@ -431,8 +431,8 @@ def expand_reference(term, sysm):
     memo = {}
 
     def go(t):
-        if isinstance(t, TermVar):
-            return Var(t.name)
+        if isinstance(t, Var):
+            return t
         if id(t) not in memo:
             m = members[t.label]
             memo[id(t)] = substitute_all(m.formula, dict(zip(m.var_order, map(go, t.args))))
@@ -627,7 +627,7 @@ def test_lemma5_gate_rejects_high_constant():
     sysm = canned_system()
     A = lemma1_A(sysm)
     fake = Derivation(
-        TermVar("p"), ("p",), constant_table(S, 1), (), sysm
+        Var("p"), constant_table(S, 1), (), sysm
     )
     with pytest.raises(PreconditionViolated):
         lemma5(fake, A, sysm)
@@ -781,7 +781,7 @@ def test_derivation_digest_pinned():
 def test_term_evaluation_matches_direct_composition():
     sysm = canned_system()
     tables = sysm.tables()
-    term = TermApply("F2", (TermApply("F1", (TermVar("p"),)),))
+    term = TermApply("F2", (TermApply("F1", (Var("p"),)),))
     tab = term_table(term, ("p",), tables)
     for x in ELEMENTS:
         assert tab[(x,)] is tables["F2"][(tables["F1"][(x,)],)]
@@ -790,7 +790,7 @@ def test_term_evaluation_matches_direct_composition():
 def pointwise_value(term, valuation, tables, memo):
     """Reference: one value of a term through FuncTable.apply, memoized by
     node identity within one valuation."""
-    if isinstance(term, TermVar):
+    if isinstance(term, Var):
         return valuation[term.name]
     if id(term) not in memo:
         args = tuple(pointwise_value(a, valuation, tables, memo) for a in term.args)
@@ -802,7 +802,7 @@ def random_shared_term(rng, tables, var_order, size):
     """A random term DAG: each new node takes its arguments from the nodes
     built so far, and some nodes are substitution instances of earlier
     ones, so subterm objects are shared as in the engine's terms."""
-    pool = [TermVar(name) for name in var_order]
+    pool = [Var(name) for name in var_order]
     for _ in range(size):
         if len(pool) > len(var_order) and rng.random() < 0.25:
             base = rng.choice(pool[len(var_order):])
@@ -833,7 +833,7 @@ def test_term_table_matches_pointwise_fold(var_order):
 
 def test_term_table_rejects_wrong_argument_count():
     tables = canned_system().tables()
-    term = TermApply("F1", (TermVar("p"),) * (tables["F1"].arity + 1))
+    term = TermApply("F1", (Var("p"),) * (tables["F1"].arity + 1))
     with pytest.raises(ValueError):
         term_table(term, ("p",), tables)
 
@@ -841,14 +841,14 @@ def test_term_table_rejects_wrong_argument_count():
 def test_term_table_refuses_a_repeated_variable_name():
     # F1[p] over (p, p) would otherwise read as a two-variable table
     tables = {"F1": FuncTable.from_text("1:0s1r")}
-    term = TermApply("F1", (TermVar("p"),))
+    term = TermApply("F1", (Var("p"),))
     with pytest.raises(ValueError, match="duplicate variable"):
         term_table(term, ("p", "p"), tables)
 
 
 def test_term_table_names_a_variable_outside_var_order():
     tables = {"F1": FuncTable.from_text("2:0s1r0s1r0s1r0s1r")}
-    term = TermApply("F1", (TermVar("p"), TermVar("q")))
+    term = TermApply("F1", (Var("p"), Var("q")))
     with pytest.raises(ValueError, match=r"misses term variable\(s\): \['q'\]"):
         term_table(term, ("p",), tables)
 
@@ -856,12 +856,12 @@ def test_term_table_names_a_variable_outside_var_order():
 def test_term_table_names_the_variables_of_an_empty_var_order():
     tables = {"F1": FuncTable.from_text("1:0s1r")}
     with pytest.raises(ValueError, match=r"misses term variable\(s\): \['p'\]"):
-        term_table(TermApply("F1", (TermVar("p"),)), (), tables)
+        term_table(TermApply("F1", (Var("p"),)), (), tables)
 
 
 def test_term_table_names_an_unknown_member():
     tables = {"F1": FuncTable.from_text("1:0s1r")}
-    term = TermApply("F1", (TermApply("F9", (TermVar("p"),)),))
+    term = TermApply("F1", (TermApply("F9", (Var("p"),)),))
     with pytest.raises(ValueError, match=r"no table for member\(s\): \['F9'\]"):
         term_table(term, ("p",), tables)
 
@@ -870,29 +870,29 @@ def test_term_functions_take_any_depth():
     # far deeper than Python's recursion limit; the canned F2 is `~ p`, so
     # an even number of applications is the identity
     system = canned_system()
-    term = TermVar("p")
+    term = Var("p")
     for _ in range(5000):
         term = TermApply("F2", (term,))
     realized = term_table(term, ("p",), system.tables())
     assert realized.to_text() == "1:0rs1"
     text = term_text(term)
     assert len(text) == 20_001
-    renamed = term_subst(term, {"p": TermVar("q")})
+    renamed = term_subst(term, {"p": Var("q")})
     assert isinstance(renamed, TermApply)
     assert term_text(renamed) == text.replace("p", "q")
-    expanded = Derivation(term, ("p",), realized, (), system).expand()
+    expanded = Derivation(term, realized, (), system).expand()
     assert free_vars(expanded) == {"p"}
 
 
 def chain(depth, leaf):
-    term = TermVar(leaf)
+    term = Var(leaf)
     for _ in range(depth):
         term = TermApply("F2", (term,))
     return term
 
 
 def tower(levels, leaf):
-    term = TermVar(leaf)
+    term = Var(leaf)
     for _ in range(levels):
         term = TermApply("F1", (term, term))
     return term
@@ -908,7 +908,7 @@ def test_term_equality_and_hash_take_any_depth():
     high = tower(30, "p")
     assert hash(high) == hash(tower(30, "p"))
     assert high == tower(30, "p")
-    assert high != tower(30, "q") and high != TermVar("p")
+    assert high != tower(30, "q") and high != Var("p")
     # a derivation compares and hashes its term the same way
     canned = canned_system()
     first, second = derive_all_constants(canned), derive_all_constants(canned)
@@ -955,7 +955,7 @@ def test_term_repr_lists_each_distinct_node_once():
     assert high.endswith(", %21 = F1[%20,%20])")
     # a derivation prints its term the same way
     d = lemma2_B(canned_system())
-    assert repr(d).startswith("Derivation(term=TermApply(%0 = F2[p]), var_order=('p',), ")
+    assert repr(d).startswith("Derivation(term=TermApply(%0 = F2[p]), ")
 
 
 def test_deep_expansions_tabulate(monkeypatch):

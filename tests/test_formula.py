@@ -20,12 +20,12 @@ from conftest import (
 )
 from magari4 import formula
 from magari4.algebra import ELEMENTS, Connective, apply, delta
-from magari4.constants import TermApply, TermVar, term_table
 from magari4.formula import (
     Binary,
     Const,
     EvaluationError,
     ParseError,
+    TermApply,
     Unary,
     Var,
     counterexample,
@@ -35,6 +35,7 @@ from magari4.formula import (
     free_vars,
     parse,
     substitute_all,
+    term_table,
     tree_size,
     truth_table,
 )
@@ -232,7 +233,7 @@ def test_a_refused_var_order_is_refused_on_every_call():
         missing = r"^var_order misses free variable\(s\): \['q', 'r'\]$"
         with pytest.raises(ValueError, match=missing):
             truth_table(parse("r | (p & q)"), ("p",))
-    term = TermApply("F1", (TermVar("p0"),))
+    term = TermApply("F1", (Var("p0"),))
     with pytest.raises(ValueError, match=f"^a truth table over {cap + 1} variables"):
         term_table(term, names, {"F1": projection(1, 0)})
 
@@ -514,7 +515,7 @@ def test_a_formula_equals_itself_without_a_walk(monkeypatch):
 
 
 def test_roots_with_different_heads_or_lengths_differ_without_a_walk(monkeypatch):
-    chain, t = _chain(200_000, True), TermVar("t")
+    chain, t = _chain(200_000, True), Var("t")
     pairs = (
         (Binary(Connective.AND, chain, chain), Binary(Connective.OR, chain, chain)),
         (Unary(Connective.NOT, chain), Unary(Connective.DELTA, chain)),
@@ -531,7 +532,7 @@ def test_roots_with_different_heads_or_lengths_differ_without_a_walk(monkeypatch
 
 
 def test_a_node_never_equals_a_plain_tuple():
-    p, t = Var("p"), TermVar("p")
+    p, t = Var("p"), Var("p")
     for node, fields in (
         (Binary(Connective.AND, p, p), (Connective.AND, p, p)),
         (Unary(Connective.NOT, p), (Connective.NOT, p)),
@@ -542,7 +543,7 @@ def test_a_node_never_equals_a_plain_tuple():
 
 
 def test_formulas_are_not_ordered():
-    p, q, t = Var("p"), Var("q"), TermVar("p")
+    p, q, t = Var("p"), Var("q"), Var("p")
     nodes = [Binary(Connective.AND, p, q), Binary(Connective.AND, p, q), Unary(Connective.NOT, p)]
     nodes += [TermApply("F1", (t,)), TermApply("F1", (t, t))]
     for x in nodes:
@@ -558,7 +559,7 @@ def test_formulas_are_not_ordered():
 def test_node_fields_cannot_be_assigned():
     p = Var("p")
     binary, unary = Binary(Connective.AND, p, p), Unary(Connective.NOT, p)
-    term = TermApply("F1", (TermVar("p"),))
+    term = TermApply("F1", (Var("p"),))
     for node, name in (
         (binary, "op"), (binary, "left"), (binary, "right"), (unary, "child"),
         (term, "label"), (term, "args"),
@@ -566,7 +567,7 @@ def test_node_fields_cannot_be_assigned():
         with pytest.raises(AttributeError):
             setattr(node, name, Var("q"))
     assert binary == Binary(Connective.AND, p, p) and unary.child is p
-    assert term.label == "F1" and term.args == (TermVar("p"),)
+    assert term.label == "F1" and term.args == (Var("p"),)
 
 
 def test_deepcopy_keeps_sharing_and_equality():
@@ -617,7 +618,7 @@ def test_deep_chains_survive_deepcopy_and_pickle():
 def test_a_shallow_copy_is_the_node_itself():
     # an immutable node needs no copy, as a tuple does not; at any depth
     p = Var("p")
-    term = TermApply("F1", (TermApply("F2", (TermVar("p"),)),))
+    term = TermApply("F1", (TermApply("F2", (Var("p"),)),))
     for node in (Unary(Connective.NOT, p), Binary(Connective.AND, p, p),
                  _chain(200_000, True), term):
         assert copy.copy(node) is node
