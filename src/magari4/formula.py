@@ -1,5 +1,6 @@
-"""Formulas over the four-element algebra: AST, parser, printer, evaluator;
-and the composition terms over a system's members.
+"""Formulas over the four-element algebra, and the composition terms over
+the members of a system: nodes, parser, printer, evaluator, tabulators and
+substitution.
 
 Concrete syntax (EBNF):
 
@@ -14,44 +15,40 @@ Concrete syntax (EBNF):
 Precedence is {~, #, []} > & > | > -> > <->; `->` associates to the right,
 `&`, `|` and `<->` to the left.  The derived connectives are expanded at
 parse time and never appear as AST nodes: `[]A` becomes `(A & #A)` and
-`A <-> B` becomes `((A -> B) & (B -> A))`.  `parse` reads this syntax in
-one operator-precedence loop over explicit stacks, and the walkers run on
-explicit-stack folds, so no function here is limited by a formula's depth.
+`A <-> B` becomes `((A -> B) & (B -> A))`.  Variables are identifiers
+(letter, then letters/digits/underscore); `rho` and `sigma` are reserved
+for the constants, so `r` and `s` remain usable as variables.  Equivalence
+is semantic: the same value under every valuation over the four elements.
 
-Node layout: `Var` and `Const` are frozen dataclasses, while the compound
-nodes `Unary(op, child)` and `Binary(op, left, right)` are immutable tuple
-subclasses (`typing.NamedTuple`), so building one is a C-level
-`tuple.__new__`.  The terms of the constant-derivation engine live here
-too: a term application, `TermApply`, is the same kind of node, `(label,
-*args)`, over `Var` leaves, and `term_subst`, `term_text` and `term_table`
-are its substitution, printer and tabulator.  All three node types share
-one DAG protocol (`_dag_node`) on one generic fold, `_dag_fold`, whose
-operands are `node[1:]`.  Their contract is the named fields, `==`, `!=`,
-`hash` and `repr`, which walk the DAG (a node compared with itself is
-equal at once) and never compare with a plain tuple or with another node
-type, immutability (`copy.copy` returns the node), and `copy.deepcopy` and
-`pickle`, which go through a flat list of the distinct nodes, so both
-kinds take any depth; ordering (`<`) raises TypeError.  The tuple
-behaviours they inherit (`len`, iteration, indexing, unpacking, `+`) are
-not part of the contract.  The evaluators, printer and substitution run
-on `_fold` instead, which knows the two formula node types: it reads a
-node's fields once on the visit that values it, and revisits only a node
-whose compound operands were still waiting.
+Nodes.  The leaves `Var` and `Const` are frozen dataclasses, and one rule,
+`_leaf_text`, prints them everywhere.  The compound nodes are immutable
+tuple subclasses `(head, *operands)`: `Unary(op, child)`, `Binary(op,
+left, right)` and the term application `TermApply(label, *args)`.  They
+share one DAG protocol (`_dag_node`): `==`, `!=`, `hash`, `repr`,
+`copy.deepcopy` and `pickle` walk the distinct nodes, so a node costs its
+DAG, not its tree, and any depth is taken.  A node compared with itself is
+equal at once, and never equals a plain tuple or another node type;
+`copy.copy` returns the node and ordering (`<`) raises TypeError.  The
+tuple behaviours they inherit (`len`, iteration, indexing, unpacking, `+`)
+are not part of the contract.
 
-`truth_table` keeps one private slot: the var_order, root and memo of its
-last successful call.  The next call over the same var_order takes the
-table of each compound node found there instead of walking below it, so
-a node that the previous call valued is not valued again; the four
-expanded constants of one system, tabulated in turn, share most of their
-nodes.  Holding the root keeps the last tabulated formula, and the tables
-of its nodes, alive until the next successful call replaces the slot.
-Atlas nodes of `synthesize` may sit in the slot; its checks go through
-`_tabulate`, which never reads or replaces the slot.
+Folds.  Two explicit-stack folds value each distinct node once:
+`_fold`, which knows the two formula node types and reads a node's fields
+once, serves `truth_table`, `evaluate`, `format_formula` and
+`substitute_all`, and refuses a term at its root; `_dag_fold`, over the
+operands `node[1:]` of any tuple node, serves the DAG protocol, `tree_size`
+and the term functions `term_subst`, `term_text` and `term_table`.
+`free_vars` and `repr` walk any node.  A walk over packed tables takes its
+set-up, the checks of var_order and the leaf, unary and binary callbacks,
+from `_walker`, once per var_order while cached.
 
-Variables are identifiers (letter, then letters/digits/underscore); `rho`
-and `sigma` are reserved for the constants, so `r` and `s` remain usable as
-variables.  Equivalence of formulas is semantic: identical value under
-every valuation over the four elements.
+The slot.  `truth_table` keeps the var_order, root and memo of its last
+successful call.  The next call over the same var_order takes the table of
+each compound node found there instead of walking below it, so the four
+expanded constants of one system, tabulated in turn, value their shared
+nodes once.  The slot keeps the last tabulated formula and its nodes'
+tables alive until the next successful call replaces it.  `_tabulate`,
+under `synthesize`'s checks, never reads or replaces the slot.
 """
 
 from __future__ import annotations
@@ -59,7 +56,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from .algebra import Connective, Element, apply
@@ -101,6 +97,13 @@ class Const:
     value: Element
 
 
+_CONST_TEXT = {Element.ZERO: "0", Element.ONE: "1", Element.RHO: "rho", Element.SIGMA: "sigma"}
+
+
+def _leaf_text(leaf: Var | Const) -> str:
+    return leaf.name if type(leaf) is Var else _CONST_TEXT[leaf.value]
+
+
 _WAITING = object()  # the memo's answer for an operand not valued yet
 _NOTHING: dict = {}  # known values of a fold that has none; never written
 
@@ -130,7 +133,9 @@ def _fold(
     to value, for each node it valued or took from known; a memo that comes
     pre-filled on known's terms values its nodes, f too, without a walk.
     i, j and k hold the ids of a node and of its left (or only) and right
-    operands, each taken once per visit."""
+    operands, each taken once per visit.  A term root raises TypeError."""
+    if type(f) is TermApply:
+        raise TypeError("a TermApply is a term: use term_subst, term_text or term_table")
     memo = {} if memo is None else memo
     get = memo.get
     stack = [f]
@@ -184,20 +189,19 @@ def _fold(
     return memo[id(f)]
 
 
-def _dag_repr(f: Formula) -> str:
-    """Each distinct compound node of f once, as `%k = <op> <operands>`
-    over leaves and names, f first: `p & #p` reads `Binary(%0 = p & %1,
+def _dag_repr(f: tuple) -> str:
+    """Each distinct node of f once, as `%k = <shown>` over leaves and
+    names, breadth first from f as %0: `p & #p` reads `Binary(%0 = p & %1,
     %1 = #p)`.  The text is linear in the distinct nodes, not the tree."""
     names, order, out = {id(f): "%0"}, [f], []
-    for node in order:  # order grows as nodes are named, breadth first
+    for node in order:  # order grows as nodes are named
         ops = []
-        for sub in (node.child,) if isinstance(node, Unary) else (node.left, node.right):
-            if isinstance(sub, (Unary, Binary)) and id(sub) not in names:
+        for sub in node[1:]:
+            if isinstance(sub, tuple) and id(sub) not in names:
                 names[id(sub)] = f"%{len(order)}"
                 order.append(sub)
-            ops.append(names.get(id(sub)) or format_formula(sub))
-        text = node.op.value + ops[0] if len(ops) == 1 else f" {node.op.value} ".join(ops)
-        out.append(f"{names[id(node)]} = {text}")
+            ops.append(names.get(id(sub)) or _leaf_text(sub))
+        out.append(f"{names[id(node)]} = {node._show(node[0], ops)}")
     return f"{type(f).__name__}({', '.join(out)})"
 
 
@@ -302,8 +306,9 @@ def _dag_reduce(root: tuple):
 def _dag_node(cls: type) -> type:
     """Give a tuple node class the DAG protocol that Unary, Binary and
     TermApply share (see the module docstring): a tower of shared operands
-    costs its distinct nodes, not its tree, and any depth is taken."""
-    cls.__eq__, cls.__ne__, cls.__hash__ = _dag_eq, _dag_ne, _dag_hash
+    costs its distinct nodes, not its tree, and any depth is taken.  The
+    class's _show(head, operand texts) gives a node's line of the repr."""
+    cls.__eq__, cls.__ne__, cls.__hash__, cls.__repr__ = _dag_eq, _dag_ne, _dag_hash, _dag_repr
     cls.__copy__ = lambda node: node  # immutable, so its own shallow copy, as a tuple is
     # copy.deepcopy goes through __reduce__ too: it deep-copies the flat node list
     cls.__reduce__ = _dag_reduce
@@ -316,7 +321,7 @@ class Unary(NamedTuple):
     op: Connective
     child: "Formula"
 
-    __repr__ = _dag_repr
+    _show = staticmethod(lambda op, operands: op.value + operands[0])
 
 
 @_dag_node
@@ -325,7 +330,7 @@ class Binary(NamedTuple):
     left: "Formula"
     right: "Formula"
 
-    __repr__ = _dag_repr
+    _show = staticmethod(lambda op, operands: f" {op.value} ".join(operands))
 
 
 Formula = Union[Var, Const, Unary, Binary]
@@ -348,11 +353,11 @@ def iff_formula(a: Formula, b: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 
 
-# a tuple node (label, *args) whose leaves are Vars; its repr too runs on
-# _dag_fold
+# a tuple node (label, *args) over Var and Const leaves
 @_dag_node
 class TermApply(tuple):
     __slots__ = ()
+    _show = staticmethod(lambda label, args: f"{label}[{','.join(args)}]")
 
     def __new__(cls, label: str, args: tuple["Term", ...]) -> "TermApply":
         return tuple.__new__(cls, (label, *args))
@@ -365,37 +370,20 @@ class TermApply(tuple):
     def args(self) -> tuple["Term", ...]:
         return self[1:]
 
-    def __repr__(self) -> str:
-        """Each distinct application once, as `%k = label[args]`, innermost
-        first: F1[t, t] over one shared t = F2[p] reads
-        `TermApply(%0 = F2[p], %1 = F1[%0,%0])`."""
-        lines: list[str] = []
 
-        def name(node: TermApply, args: list[str]) -> str:
-            lines.append(f"%{len(lines)} = {node.label}[{','.join(args)}]")
-            return f"%{len(lines) - 1}"
-
-        _dag_fold(self, lambda v: v.name, name)
-        return f"TermApply({', '.join(lines)})"
-
-
-Term = Union[Var, TermApply]
+Term = Union[Var, Const, TermApply]
 
 
 def term_subst(term: Term, mapping: Mapping[str, Term]) -> Term:
     return _dag_fold(
         term,
-        lambda v: mapping.get(v.name, v),
+        lambda node: mapping.get(node.name, node) if type(node) is Var else node,
         lambda node, args: TermApply(node.label, args),
     )
 
 
 def term_text(term: Term) -> str:
-    return _dag_fold(
-        term,
-        lambda v: v.name,
-        lambda node, args: f"{node.label}[{','.join(args)}]",
-    )
+    return _dag_fold(term, _leaf_text, lambda node, args: node._show(node.label, args))
 
 
 def term_table(
@@ -413,7 +401,7 @@ def term_table(
     tabulated over the same var_order and tables, and takes the ones this
     call tabulates (see _dag_fold)."""
     var_order = tuple(var_order)
-    env = _walker(var_order)[0]
+    leaf = _walker(var_order)[0]
     size = 4 ** len(var_order)
 
     def compose(node: TermApply, args: list[int]) -> int:
@@ -423,12 +411,12 @@ def term_table(
         return int.from_bytes(compose_lanes(table.packed, args, size), "little")
 
     try:
-        packed = _dag_fold(term, lambda v: env[v.name], compose, known)
+        packed = _dag_fold(term, leaf, compose, known)
     except KeyError:  # a variable outside var_order or an unknown member
-        names: set[str] = set()
         labels: set[str] = set()
-        _dag_fold(term, lambda v: names.add(v.name), lambda node, _: labels.add(node.label))
-        missing, unknown = sorted(names - set(var_order)), sorted(labels - set(tables))
+        _dag_fold(term, id, lambda node, _: labels.add(node.label))
+        missing = sorted(free_vars(term) - set(var_order))
+        unknown = sorted(labels - set(tables))
         problems = [f"var_order misses term variable(s): {missing}"] if missing else []
         problems += [f"no table for member(s): {unknown}"] if unknown else []
         raise ValueError("; ".join(problems)) from None
@@ -442,12 +430,6 @@ def term_table(
 # a token, or in the second group the stray character where none starts
 _TOKEN_RE = re.compile(r"\s*(?:(<->|->|\[\]|[~#&|()]|[A-Za-z][A-Za-z0-9_]*|[01])|(\S))")
 
-_CONST_TEXT = {
-    Element.ZERO: "0",
-    Element.ONE: "1",
-    Element.RHO: "rho",
-    Element.SIGMA: "sigma",
-}
 _CONST_WORDS = {text: value for value, text in _CONST_TEXT.items()}
 
 # (binding power, node builder) of each connective.  The prefix ones bind
@@ -553,7 +535,7 @@ def format_formula(f: Formula) -> str:
 
     _, pieces = _fold(
         f,
-        lambda node: (_TIGHT, node.name if type(node) is Var else _CONST_TEXT[node.value]),
+        lambda node: (_TIGHT, _leaf_text(node)),
         lambda op, x: (_TIGHT, text(op.value, operand(x, _TIGHT))),
         binary,
     )
@@ -588,18 +570,17 @@ def evaluate(f: Formula, valuation: Valuation) -> Element:
         raise EvaluationError(f"unbound variable {exc.args[0]!r}") from None
 
 
-def free_vars(f: Formula) -> frozenset[str]:
-    nodes: dict[int, Formula] = {}  # the distinct nodes of f, by identity
+def free_vars(f: Formula | Term) -> frozenset[str]:
+    """The names of the Var leaves of any node, a formula or a term."""
+    nodes: dict[int, Formula | Term] = {}  # the distinct nodes of f, by identity
     stack = [f]
     while stack:
         node = stack.pop()
         if id(node) not in nodes:
             nodes[id(node)] = node
-            if isinstance(node, Unary):
-                stack.append(node.child)
-            elif isinstance(node, Binary):
-                stack += (node.left, node.right)
-    return frozenset(node.name for node in nodes.values() if isinstance(node, Var))
+            if isinstance(node, tuple):
+                stack += node[1:]
+    return frozenset(node.name for node in nodes.values() if type(node) is Var)
 
 
 # A table over n variables has 4**n entries: at 8 variables a conjunction
@@ -620,10 +601,9 @@ def truth_table(f: Formula, var_order: Sequence[str]) -> FuncTable:
     significant.
 
     var_order must cover every free variable of f, contain no duplicates
-    and hold at most MAX_TABLE_VARS variables.  Those checks, the packed
-    projections and the leaf callback are set up once per var_order, and
-    the connectives once per arity (see _tabulate); a refused var_order is
-    refused on every call.
+    and hold at most MAX_TABLE_VARS variables.  Those checks and the walk's
+    callbacks are set up once per var_order (see _walker); a refused
+    var_order is refused on every call.
 
     A call over the same var_order as the last successful call takes the
     table of each compound node that call valued instead of walking below
@@ -640,28 +620,20 @@ def truth_table(f: Formula, var_order: Sequence[str]) -> FuncTable:
     return FuncTable(len(var_order), packed)
 
 
-# The truth table of a formula is computed in one fold over packed tables
-# (see tables): entry k occupies the low two bits of byte k, so the
-# boolean connectives are single bitwise operations on the whole table and
-# delta is a shift plus two masks, as packed_connectives gives them.
-@lru_cache(maxsize=MAX_TABLE_VARS + 1)
-def packed_connectives(n: int) -> tuple[Callable, Callable]:
-    ones, lo, hi = packed_masks(n)
-    return (lambda op, x: x ^ ones if op is _NOT else hi | ((x >> 1) & lo),
-            lambda op, x, y: x & y if op is _AND else x | y if op is _OR else (x ^ ones) | y)
-
-
 # Variable orders whose walker _walker keeps; a walker holds no table of
 # its own, only references to the shared projections.
 _WALKERS = 256
 
 
 @lru_cache(maxsize=_WALKERS)
-def _walker(var_order: tuple[str, ...]) -> tuple[Mapping[str, int], Callable]:
+def _walker(var_order: tuple[str, ...]) -> tuple[Callable, Callable, Callable]:
     """The set-up of a walk over var_order, made once per order while
     cached: var_order checked for a repeated name and against
-    MAX_TABLE_VARS, the packed projection of each name (read-only, as every
-    caller shares it), and the leaf callback that reads them.  A refused
+    MAX_TABLE_VARS, then the (leaf, unary, binary) callbacks of a fold over
+    packed tables (see tables).  Entry k occupies the low two bits of byte
+    k, so the boolean connectives are single bitwise operations on the
+    whole table and delta is a shift plus two masks; a leaf reads its
+    variable's packed projection, or spreads its constant.  A refused
     order raises on every call, as nothing is cached for it."""
     if len(set(var_order)) != len(var_order):
         raise ValueError("duplicate variable in var_order")
@@ -671,21 +643,20 @@ def _walker(var_order: tuple[str, ...]) -> tuple[Mapping[str, int], Callable]:
             f"a truth table over {n} variables exceeds the cap of {MAX_TABLE_VARS}"
         )
     env = {name: projection_packed(n, i) for i, name in enumerate(var_order)}
-    lo = packed_masks(n)[1]
-    return MappingProxyType(env), (
-        lambda node: env[node.name] if type(node) is Var else lo * node.value)
+    ones, lo, hi = packed_masks(n)
+    return (lambda node: env[node.name] if type(node) is Var else lo * node.value,
+            lambda op, x: x ^ ones if op is _NOT else hi | ((x >> 1) & lo),
+            lambda op, x, y: x & y if op is _AND else x | y if op is _OR else (x ^ ones) | y)
 
 
 def _tabulate(
     f: Formula, var_order: tuple[str, ...], known: Mapping = _NOTHING, memo: dict | None = None
 ) -> int:
     """truth_table's table, packed, without reading or replacing its last
-    call's memo; known and memo go to _fold.  The checks of var_order, its
-    projections and the leaf callback are set up once per order (_walker)
-    and the connectives once per arity, so a call pays for its fold."""
-    leaf = _walker(var_order)[1]
+    call's memo; known and memo go to _fold.  The walk's set-up is made
+    once per var_order (_walker), so a call pays for its fold."""
     try:
-        return _fold(f, leaf, *packed_connectives(len(var_order)), known, memo)
+        return _fold(f, *_walker(var_order), known, memo)
     except KeyError:  # a variable outside var_order; name every one of them
         missing = sorted(free_vars(f) - set(var_order))
         raise ValueError(f"var_order misses free variable(s): {missing}") from None
@@ -722,6 +693,6 @@ def substitute_all(a: Formula, mapping: Mapping[str, Formula]) -> Formula:
     )
 
 
-def tree_size(f: Formula) -> int:
-    """The number of nodes of f as a tree, counted on its DAG."""
-    return _fold(f, lambda node: 1, lambda op, x: x + 1, lambda op, x, y: x + y + 1)
+def tree_size(f: Formula | Term) -> int:
+    """The number of nodes of any node as a tree, counted on its DAG."""
+    return _dag_fold(f, lambda leaf: 1, lambda node, sizes: sum(sizes, 1))

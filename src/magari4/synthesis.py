@@ -15,8 +15,7 @@ from __future__ import annotations
 import functools
 
 from .algebra import ELEMENTS, Connective, Element
-from .formula import (MAX_TABLE_VARS, Binary, Const, Formula, Unary, Var, _tabulate,
-                      packed_connectives)
+from .formula import MAX_TABLE_VARS, Binary, Const, Formula, Unary, Var, _tabulate, _walker
 from .preservation import (column_text, delta_pairing_relation, find_violation,
                            preserves_delta_pairing)
 from .tables import FuncTable, compose_lanes, constant_table, projection_packed
@@ -79,7 +78,7 @@ def _atlas() -> dict[int, tuple]:
     (Const, value) or (op, *operand tables).  The search by tree size
     (Knuth, TAOCP 4A, 7.1.2) combines only least recipes, as a least
     formula's operands may be least formulas of their own tables."""
-    unary, binary = packed_connectives(1)
+    _, unary, binary = _walker(("p",))
     atlas = {int.from_bytes(constant_table(v).packed, "little"): (Const, v) for v in ELEMENTS}
     atlas[_PROJECTION] = (Var,)
     by_size = [[], list(atlas)]  # the tables first reached at each size

@@ -48,6 +48,7 @@ from magari4.formula import (
     term_subst,
     term_table,
     term_text,
+    tree_size,
     truth_table,
 )
 from magari4.preservation import ViolationWitness
@@ -866,6 +867,21 @@ def test_term_table_names_an_unknown_member():
         term_table(term, ("p",), tables)
 
 
+def test_term_functions_take_const_leaves():
+    # a constant leaf prints, stays in place under substitution and
+    # tabulates to its constant table, read through the member
+    term = TermApply("F1", (Const(Z),))
+    assert term_text(term) == "F1[0]"
+    assert term_subst(term, {"p": Var("q")}) == term
+    assert term_subst(term, {"p": Var("q")})[1] is term[1]
+    tables = {"F1": FuncTable.from_text("1:0s1r")}
+    assert term_table(term, ("p",), tables) == constant_table(Z, 1)
+    mixed = TermApply("F1", (TermApply("F2", (Var("p"), Const(O))),))
+    assert term_text(mixed) == "F1[F2[p,1]]"
+    tables["F2"] = FuncTable.from_text("2:" + "0rs1" * 4)  # its second argument
+    assert term_table(mixed, ("p", "q"), tables) == constant_table(R, 2)
+
+
 def test_term_functions_take_any_depth():
     # far deeper than Python's recursion limit; the canned F2 is `~ p`, so
     # an even number of applications is the identity
@@ -882,6 +898,12 @@ def test_term_functions_take_any_depth():
     assert term_text(renamed) == text.replace("p", "q")
     expanded = Derivation(term, realized, (), system).expand()
     assert free_vars(expanded) == {"p"}
+    # the cold walks count term nodes too, on the chain and on a tower of
+    # 2**30 applications
+    assert free_vars(term) == {"p"} and free_vars(renamed) == {"q"}
+    assert tree_size(term) == 5001 and tree_size(expanded) == 5001
+    assert free_vars(tower(30, "q")) == {"q"}
+    assert tree_size(tower(30, "q")) == 2**31 - 1
 
 
 def chain(depth, leaf):
@@ -949,10 +971,10 @@ def test_term_repr_lists_each_distinct_node_once():
     start = time.perf_counter()
     deep, high = repr(chain(5000, "p")), repr(tower(22, "p"))
     assert time.perf_counter() - start < 1
-    assert deep.startswith("TermApply(%0 = F2[p], %1 = F2[%0], ")
-    assert deep.endswith(", %4999 = F2[%4998])")
-    assert high.startswith("TermApply(%0 = F1[p,p], %1 = F1[%0,%0], ")
-    assert high.endswith(", %21 = F1[%20,%20])")
+    assert deep.startswith("TermApply(%0 = F2[%1], %1 = F2[%2], ")
+    assert deep.endswith(", %4998 = F2[%4999], %4999 = F2[p])")
+    assert high.startswith("TermApply(%0 = F1[%1,%1], %1 = F1[%2,%2], ")
+    assert high.endswith(", %20 = F1[%21,%21], %21 = F1[p,p])")
     # a derivation prints its term the same way
     d = lemma2_B(canned_system())
     assert repr(d).startswith("Derivation(term=TermApply(%0 = F2[p]), ")

@@ -421,6 +421,20 @@ def test_substitute_examples():
     assert substitute_all(f, {"p": parse("p")}) == f
 
 
+def test_the_formula_folds_refuse_a_term():
+    # a term goes to term_subst, term_text or term_table, by name
+    term = TermApply("F1", (Var("p"),))
+    calls = (
+        lambda: substitute_all(term, {"p": Var("q")}),
+        lambda: format_formula(term),
+        lambda: evaluate(term, {"p": Z}),
+        lambda: truth_table(term, ("p",)),
+    )
+    for call in calls:
+        with pytest.raises(TypeError, match="term_subst, term_text or term_table"):
+            call()
+
+
 def test_substitute_all_is_simultaneous():
     swapped = substitute_all(parse("p & q"), {"p": Var("q"), "q": Var("p")})
     assert swapped == parse("q & p")

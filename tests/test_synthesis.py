@@ -347,14 +347,14 @@ def test_the_recheck_values_each_atlas_root_once_per_variable_order(monkeypatch)
     walked = synthesis._lifted.cache_info()
     assert walked.misses == walked.currsize <= 4 < walked.hits
     valued = []
-    connectives = formula.packed_connectives
+    walker = formula._walker
 
-    def counting(n):
-        unary, binary = connectives(n)
-        return (lambda op, x: valued.append(op) or unary(op, x),
+    def counting(var_order):
+        leaf, unary, binary = walker(var_order)
+        return (leaf, lambda op, x: valued.append(op) or unary(op, x),
                 lambda op, x, y: valued.append(op) or binary(op, x, y))
 
-    monkeypatch.setattr(formula, "packed_connectives", counting)
+    monkeypatch.setattr(formula, "_walker", counting)
     for step, table in enumerate(tables):
         valued.clear()
         synthesize(table, orders[step % 2])
