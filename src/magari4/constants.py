@@ -31,8 +31,8 @@ from typing import Mapping, Sequence
 
 from .algebra import ELEMENTS, HIGH, LOW, Element, delta
 from .formula import (
-    Formula, Term, TermApply, Var, _dag_fold, free_vars, parse, substitute_all, term_subst,
-    term_table, term_text, truth_table,
+    Binary, Formula, Term, TermApply, Unary, Var, _fold, format_formula, free_vars, parse,
+    substitute_all, term_table, truth_table,
 )
 from .preservation import (
     ViolationWitness,
@@ -81,6 +81,15 @@ class SystemMember:
         return self.given or synthesize(self.table, self.var_order)
 
 
+class _Memo(dict):
+    """A dict keyed by id(node) that a system keeps (see formula._fold).  A
+    copy, deep or unpickled, starts empty, as its ids would name the
+    original's nodes."""
+
+    def __reduce__(self):
+        return _Memo, ()
+
+
 @dataclass(frozen=True)
 class TwelveSystem:
     """Members F1..F12.  Every way of building one (the constructor, the
@@ -88,12 +97,14 @@ class TwelveSystem:
     and witness here, once; the engine relies on that."""
 
     members: tuple[SystemMember, ...]
-    # id(term node) -> (node, formula), filled by Derivation.expand, and
-    # id(term node) -> (node, packed table over p), filled by the engine's
-    # checks; not part of the value, and dataclasses.replace starts new
-    # ones empty
-    _expansions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _tabulated: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # id(term node) -> formula, filled by Derivation.expand, and id(term
+    # node) -> packed table over p, filled by the engine's checks, with the
+    # term roots they were filled from, id(root) -> root, which hold every
+    # node they name; not part of the value, and dataclasses.replace starts
+    # new ones empty
+    _expansions: _Memo = field(default_factory=_Memo, init=False, repr=False, compare=False)
+    _tabulated: _Memo = field(default_factory=_Memo, init=False, repr=False, compare=False)
+    _roots: _Memo = field(default_factory=_Memo, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.members) != 12:
@@ -211,7 +222,7 @@ class Derivation:
     system: TwelveSystem = field(repr=False, compare=False)
 
     def term_text(self) -> str:
-        return term_text(self.term)
+        return format_formula(self.term)
 
     def expand(self) -> Formula:
         """The term as a plain formula, member applications substituted out.
@@ -225,13 +236,14 @@ class Derivation:
         clauses) shared, so the result is compact in memory even when its
         printed text is not.
         """
-        members = self.system._members_by_label
+        system = self.system
 
-        def substitute(node: TermApply, args: list[Formula]) -> Formula:
-            member = members[node.label]
+        def substitute(label: str, *args: Formula) -> Formula:
+            member = system._members_by_label[label]
             return substitute_all(member.formula, dict(zip(member.var_order, args)))
 
-        return _dag_fold(self.term, lambda v: v, substitute, self.system._expansions)
+        system._roots[id(self.term)] = self.term
+        return _fold(self.term, lambda v: v, Unary, Binary, substitute, memo=system._expansions)
 
     def is_constant(self) -> bool:
         return len(set(self.realized.entries)) == 1
@@ -240,6 +252,7 @@ class Derivation:
 def _tabulate(term: Term, system: TwelveSystem) -> FuncTable:
     """term_table over p alone, reusing the system's tables of the term
     nodes tabulated against it."""
+    system._roots[id(term)] = term
     return term_table(term, ("p",), system.tables(), system._tabulated)
 
 
@@ -254,7 +267,7 @@ def _lower(
 ) -> Term:
     """term itself when keep holds, else B[term]; the trace records which."""
     trace.append((step, kept if keep else lowered))
-    return term if keep else term_subst(B, {"p": term})
+    return term if keep else substitute_all(B, {"p": term})
 
 
 def _apply_witness(m: SystemMember, slot: Mapping[tuple[Element, ...], Term]) -> Term:
@@ -322,8 +335,8 @@ def lemma3(A: Derivation, B: Derivation, system: TwelveSystem) -> Derivation:
 
     if b[0] in LOW:
         trace.append(("lemma3.case1", f"B[0] = {b[0].token} stays in {{0,r}}"))
-        inner = term_subst(A.term, {"p": B.term})
-        final = term_subst(B.term, {"p": inner})
+        inner = substitute_all(A.term, {"p": B.term})
+        final = substitute_all(B.term, {"p": inner})
         realized = _tabulate(final, system)
         v = realized.entries[0]
         _check(
@@ -378,7 +391,7 @@ def lemma3(A: Derivation, B: Derivation, system: TwelveSystem) -> Derivation:
         f"D'[0,1]={dprime.entries[3].token}, D'[1,0]={dprime.entries[12].token}, "
         "both in {0,r}",
     )
-    inner_term = term_subst(dprime_term, {"q": B.term})
+    inner_term = substitute_all(dprime_term, {"q": B.term})
     inner = _tabulate(inner_term, system)
     _check(
         all(v in LOW for v in inner.entries),
@@ -386,7 +399,7 @@ def lemma3(A: Derivation, B: Derivation, system: TwelveSystem) -> Derivation:
         "lemma3.case2",
         "D'[p, B(p)] ranges in {0,r}",
     )
-    mid_term = term_subst(B.term, {"p": inner_term})
+    mid_term = substitute_all(B.term, {"p": inner_term})
     mid = _tabulate(mid_term, system)
     _check(
         all(v in HIGH for v in mid.entries),
@@ -394,7 +407,7 @@ def lemma3(A: Derivation, B: Derivation, system: TwelveSystem) -> Derivation:
         "lemma3.case2",
         "B[D'[p, B(p)]] ranges in {s,1}",
     )
-    final = term_subst(B.term, {"p": mid_term})
+    final = substitute_all(B.term, {"p": mid_term})
     realized = _tabulate(final, system)
     v = realized.entries[0]
     _check(
@@ -504,7 +517,7 @@ def _case_low_one(A: Derivation, cand: Derivation, system: TwelveSystem) -> Deri
     h1 = h_tab.entries[3]
     _check(h1 in HIGH, trace, "lemma4.H", f"H[1] = {h1.token}, in {{s,1}}")
     if h1 is _O:
-        bh_term = term_subst(cand.term, {"p": h_term})
+        bh_term = substitute_all(cand.term, {"p": h_term})
         bh = _tabulate(bh_term, system)
         _check(
             bh.entries[2] is bh.entries[3] and bh.entries[3] in LOW,
@@ -610,7 +623,7 @@ def lemma5(
     trace: list[TraceStep] = list(k.trace)
     kval = k.realized.entries[0]
 
-    c2_term = term_subst(A.term, {"p": k.term})
+    c2_term = substitute_all(A.term, {"p": k.term})
     c2_tab = _tabulate(c2_term, system)
     c2 = c2_tab.entries[0]
     _check(

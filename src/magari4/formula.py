@@ -32,15 +32,17 @@ equal at once, and never equals a plain tuple or another node type;
 tuple behaviours they inherit (`len`, iteration, indexing, unpacking, `+`)
 are not part of the contract.
 
-Folds.  Two explicit-stack folds value each distinct node once:
-`_fold`, which knows the two formula node types and reads a node's fields
-once, serves `truth_table`, `evaluate`, `format_formula` and
-`substitute_all`, and refuses a term at its root; `_dag_fold`, over the
-operands `node[1:]` of any tuple node, serves the DAG protocol, `tree_size`
-and the term functions `term_subst`, `term_text` and `term_table`.
-`free_vars` and `repr` walk any node.  A walk over packed tables takes its
-set-up, the checks of var_order and the leaf, unary and binary callbacks,
-from `_walker`, once per var_order while cached.
+The fold.  One explicit-stack fold, `_fold`, values each distinct node of
+a formula, a term or a mix of the two once, and every walk that values
+nodes runs on it: `truth_table`, `evaluate`, `format_formula`,
+`substitute_all`, `tree_size`, the DAG protocol, `term_table` and the
+engine's `Derivation.expand`.  `evaluate` and `truth_table` refuse a term
+application wherever it sits.  `free_vars` and `repr` walk any node on
+their own.  A walk over packed tables takes its set-up, the checks of
+var_order and the leaf, unary and binary callbacks, from `_walker`, once
+per var_order while cached.  The one memo form is id(node) to value; a
+memo kept past its fold comes with roots that hold every node it names,
+as the slot below and a system's kept expansions and tables do.
 
 The slot.  `truth_table` keeps the var_order, root and memo of its last
 successful call.  The next call over the same var_order takes the table of
@@ -108,34 +110,34 @@ _WAITING = object()  # the memo's answer for an operand not valued yet
 _NOTHING: dict = {}  # known values of a fold that has none; never written
 
 
+def _no_term(label: str, *args):
+    raise TypeError(f"{label}[...] is a term application: tabulate it with term_table")
+
+
 def _fold(
-    f: Formula, leaf: Callable, unary: Callable, binary: Callable,
-    known: Mapping = _NOTHING, memo: dict | None = None,
+    f: Formula | Term, leaf: Callable, unary: Callable, binary: Callable,
+    apply: Callable = _no_term, known: Mapping = _NOTHING, memo: dict | None = None,
 ):
-    """Fold f bottom-up: leaf(node) values a Var or Const, unary(op, x) a
-    Unary and binary(op, x, y) a Binary from its connective and operand
-    values.
+    """Fold any node bottom-up, a formula, a term or a mix: leaf(node)
+    values a Var or Const, and a compound node is valued from its head and
+    its operand values, unary(op, x), binary(op, x, y) or apply(label,
+    *args).  The default apply raises TypeError, so evaluate and
+    truth_table refuse a term application wherever it sits.
 
     A compound node is valued on the visit that finds its operands valued.
-    Otherwise it goes back on the explicit stack, under its waiting compound
-    operands, and the walk goes on into the leftmost of them; so any depth
-    is taken.  A leaf operand is valued where it is met, unless an operand
-    to its left is still waiting, so leaves are valued left to right.  Each
-    distinct node (by identity) is valued once, also when it sits on the
-    stack twice.
+    Otherwise it goes back on the explicit stack (a Binary under its waiting
+    right operand too), and the walk goes on into its leftmost waiting
+    operand; so any depth is taken.  A leaf operand is valued where it is
+    met, unless an operand to its left is still waiting, so leaves are
+    valued left to right.  Each distinct node (by identity) is valued once.
 
-    known maps id(node) to a value that an earlier fold with the same
-    callbacks gave, and the caller keeps those nodes alive, so no id in it
-    names another node.  A compound operand found there takes that value
-    and is not descended into.  known is read only where the fold would
-    otherwise descend, so a miss costs one lookup per compound node, and it
-    is never written.  memo, if given, is the dict the fold fills: id(node)
-    to value, for each node it valued or took from known; a memo that comes
-    pre-filled on known's terms values its nodes, f too, without a walk.
-    i, j and k hold the ids of a node and of its left (or only) and right
-    operands, each taken once per visit.  A term root raises TypeError."""
-    if type(f) is TermApply:
-        raise TypeError("a TermApply is a term: use term_subst, term_text or term_table")
+    memo, if given, is the dict the fold reads and fills, id(node) to value:
+    a node found there, f too, is not walked.  known holds the values of an
+    earlier fold with the same callbacks and is never written; it is read
+    only where the fold would otherwise descend.  A dict that outlives the
+    fold must hold, or come with a root that holds, every node it names, so
+    that no id in it names another node.  i, j and k hold the ids of a node
+    and of its left (or only) and right operands."""
     memo = {} if memo is None else memo
     get = memo.get
     stack = [f]
@@ -147,42 +149,57 @@ def _fold(
                 left, right = node.left, node.right
                 x = get(j := id(left), _WAITING)
                 if x is _WAITING:
-                    if type(left) is Binary or type(left) is Unary:
-                        if j not in known:
-                            push(node)
-                            k = id(right)
-                            if (k not in memo and (type(right) is Binary or type(right) is Unary)
-                                    and k not in known):
-                                push(right)
-                            node = left
-                            continue
+                    if type(left) is Var or type(left) is Const:
+                        x = memo[j] = leaf(left)
+                    elif j in known:
                         x = memo[j] = known[j]
                     else:
-                        x = memo[j] = leaf(left)
+                        push(node)
+                        k = id(right)
+                        if (k not in memo and type(right) is not Var and type(right) is not Const
+                                and k not in known):
+                            push(right)
+                        node = left
+                        continue
                 y = get(k := id(right), _WAITING)
                 if y is _WAITING:
-                    if type(right) is Binary or type(right) is Unary:
-                        if k not in known:
-                            push(node)
-                            node = right
-                            continue
+                    if type(right) is Var or type(right) is Const:
+                        y = memo[k] = leaf(right)
+                    elif k in known:
                         y = memo[k] = known[k]
                     else:
-                        y = memo[k] = leaf(right)
+                        push(node)
+                        node = right
+                        continue
                 memo[i] = binary(node.op, x, y)
             elif type(node) is Unary:
                 child = node.child
                 x = get(j := id(child), _WAITING)
                 if x is _WAITING:
-                    if type(child) is Binary or type(child) is Unary:
-                        if j not in known:
-                            push(node)
-                            node = child
-                            continue
+                    if type(child) is Var or type(child) is Const:
+                        x = memo[j] = leaf(child)
+                    elif j in known:
                         x = memo[j] = known[j]
                     else:
-                        x = memo[j] = leaf(child)
+                        push(node)
+                        node = child
+                        continue
                 memo[i] = unary(node.op, x)
+            elif type(node) is TermApply:
+                for arg in node[1:]:
+                    if (j := id(arg)) not in memo:
+                        if type(arg) is Var or type(arg) is Const:
+                            memo[j] = leaf(arg)
+                        elif j in known:
+                            memo[j] = known[j]
+                        else:
+                            break
+                else:
+                    memo[i] = apply(node[0], *[memo[id(arg)] for arg in node[1:]])
+                    break
+                push(node)
+                node = arg
+                continue
             else:
                 memo[i] = leaf(node)
             break
@@ -205,42 +222,11 @@ def _dag_repr(f: tuple) -> str:
     return f"{type(f).__name__}({', '.join(out)})"
 
 
-def _dag_fold(root, leaf: Callable, apply: Callable, _known: dict | None = None):
-    """Fold any DAG of tuple nodes bottom-up, a formula or a term: a node's
-    operands are node[1:], and anything that is not a tuple is a leaf.
-    leaf(x) values a leaf and apply(node, values) a node from its operands'
-    values.  Each distinct node (by identity) is valued once, and the
-    explicit stack takes any depth; on it, a plain tuple (node,) marks a
-    node whose operands sit above it.  _known maps id(node) to (node,
-    value) for the nodes valued by earlier folds with the same callbacks:
-    the fold takes such a value without descending below its node, and
-    records each node it values.  An entry holds its node, so its id is not
-    reused while it lives, and the identity check covers a copied dict."""
-    memo = {}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if type(node) is tuple:  # (node,) is popped after its operands
-            (node,) = node
-            value = memo[id(node)] = apply(node, [memo[id(x)] for x in node[1:]])
-            if _known is not None:
-                _known[id(node)] = (node, value)
-        elif id(node) not in memo:
-            if not isinstance(node, tuple):
-                memo[id(node)] = leaf(node)
-                continue
-            if _known is not None:
-                hit = _known.get(id(node))
-                if hit is not None and hit[0] is node:
-                    memo[id(node)] = hit[1]
-                    continue
-            stack.append((node,))
-            stack += node[1:]
-    return memo[id(root)]
-
-
 def _dag_hash(node: tuple) -> int:
-    return _dag_fold(node, hash, lambda n, values: hash((n[0], *values)))
+    def hashed(*key) -> int:
+        return hash(key)
+
+    return _fold(node, hash, hashed, hashed, hashed)
 
 
 def _dag_eq(f: tuple, g: object) -> bool:
@@ -256,13 +242,10 @@ def _dag_eq(f: tuple, g: object) -> bool:
         return False
     shapes: dict = {}
 
-    def number(key) -> int:
+    def number(*key) -> int:
         return shapes.setdefault(key, len(shapes))
 
-    def shape(root: tuple) -> int:
-        return _dag_fold(root, number, lambda n, values: number((n[0], *values)))
-
-    return shape(f) == shape(g)
+    return _fold(f, number, number, number, number) == _fold(g, number, number, number, number)
 
 
 def _dag_ne(f: tuple, g: object) -> bool:
@@ -284,7 +267,8 @@ def _flatten(root: tuple) -> list:
         nodes.append(entry)
         return len(nodes) - 1
 
-    _dag_fold(root, add, lambda node, values: add((type(node), node[0], *values)))
+    _fold(root, add, lambda op, x: add((Unary, op, x)), lambda op, x, y: add((Binary, op, x, y)),
+          lambda *entry: add((TermApply, *entry)))
     return nodes
 
 
@@ -374,48 +358,36 @@ class TermApply(tuple):
 Term = Union[Var, Const, TermApply]
 
 
-def term_subst(term: Term, mapping: Mapping[str, Term]) -> Term:
-    return _dag_fold(
-        term,
-        lambda node: mapping.get(node.name, node) if type(node) is Var else node,
-        lambda node, args: TermApply(node.label, args),
-    )
-
-
-def term_text(term: Term) -> str:
-    return _dag_fold(term, _leaf_text, lambda node, args: node._show(node.label, args))
-
-
 def term_table(
     term: Term, var_order: Sequence[str], tables: Mapping[str, FuncTable],
-    known: dict | None = None,
+    memo: dict | None = None,
 ) -> FuncTable:
     """Tabulate term over all valuations of var_order, first variable most
-    significant, composing the members' tables.
+    significant, composing the members' tables.  The term may hold formula
+    nodes, which tabulate as in truth_table.
 
     var_order must cover every variable of term, contain no duplicates and
     hold at most MAX_TABLE_VARS variables, as for truth_table, and tables
     must name every member term applies.  var_order is checked, and its
     projections are built, once per order, by the walker truth_table uses.
-    known, if given, holds the packed tables of term nodes already
-    tabulated over the same var_order and tables, and takes the ones this
-    call tabulates (see _dag_fold)."""
+    memo, if given, holds the packed tables of nodes already tabulated over
+    the same var_order and tables, and takes the ones this call tabulates;
+    the caller keeps their nodes alive (see _fold)."""
     var_order = tuple(var_order)
-    leaf = _walker(var_order)[0]
     size = 4 ** len(var_order)
 
-    def compose(node: TermApply, args: list[int]) -> int:
-        table = tables[node.label]
+    def compose(label: str, *args: int) -> int:
+        table = tables[label]
         if len(args) != table.arity:
-            raise ValueError(f"{node.label} expects {table.arity} argument(s)")
+            raise ValueError(f"{label} expects {table.arity} argument(s)")
         return int.from_bytes(compose_lanes(table.packed, args, size), "little")
 
     try:
-        packed = _dag_fold(term, leaf, compose, known)
+        packed = _fold(term, *_walker(var_order), compose, memo=memo)
     except KeyError:  # a variable outside var_order or an unknown member
-        labels: set[str] = set()
-        _dag_fold(term, id, lambda node, _: labels.add(node.label))
-        missing = sorted(free_vars(term) - set(var_order))
+        nodes = _flatten(term)  # a leaf as itself, an application as (TermApply, label, ...)
+        missing = sorted({x.name for x in nodes if type(x) is Var} - set(var_order))
+        labels = {x[1] for x in nodes if type(x) is tuple and x[0] is TermApply}
         unknown = sorted(labels - set(tables))
         problems = [f"var_order misses term variable(s): {missing}"] if missing else []
         problems += [f"no table for member(s): {unknown}"] if unknown else []
@@ -513,8 +485,10 @@ _TIGHT = 4  # atoms and unary nodes, which never take parentheses
 _JOINED = 256
 
 
-def format_formula(f: Formula) -> str:
-    """Canonical text; re-parsing yields a structurally identical AST."""
+def format_formula(f: Formula | Term) -> str:
+    """Canonical text; re-parsing a formula yields a structurally identical
+    AST.  A term application prints as the atom `label[a,b]`, which parse
+    does not read."""
 
     # a node's value is (precedence, text).  The fold keeps every value, so
     # past _JOINED characters a text stays nested tuples, joined at the end
@@ -533,11 +507,17 @@ def format_formula(f: Formula) -> str:
         left, right = (prec + 1, prec) if op is _IMP else (prec, prec + 1)
         return prec, text(operand(x, left), f" {op.value} ", operand(y, right))
 
+    def apply(label: str, *args: tuple) -> tuple:
+        texts = [","] * (2 * len(args) - 1)  # the argument texts between commas
+        texts[::2] = [value[1] for value in args]
+        return _TIGHT, text(label, "[", *texts, "]")
+
     _, pieces = _fold(
         f,
         lambda node: (_TIGHT, _leaf_text(node)),
         lambda op, x: (_TIGHT, text(op.value, operand(x, _TIGHT))),
         binary,
+        apply,
     )
     out, stack = [], [pieces]
     while stack:
@@ -558,7 +538,8 @@ Valuation = Mapping[str, Element]
 
 def evaluate(f: Formula, valuation: Valuation) -> Element:
     """Structural fold through the algebra's operations; a shared operand
-    (as `[]` and `<->` make) is evaluated once."""
+    (as `[]` and `<->` make) is evaluated once.  A term application
+    anywhere in f raises TypeError."""
     try:
         return _fold(
             f,
@@ -603,7 +584,8 @@ def truth_table(f: Formula, var_order: Sequence[str]) -> FuncTable:
     var_order must cover every free variable of f, contain no duplicates
     and hold at most MAX_TABLE_VARS variables.  Those checks and the walk's
     callbacks are set up once per var_order (see _walker); a refused
-    var_order is refused on every call.
+    var_order is refused on every call.  A term application anywhere in f
+    raises TypeError: term_table, which has the member tables, takes it.
 
     A call over the same var_order as the last successful call takes the
     table of each compound node that call valued instead of walking below
@@ -656,7 +638,7 @@ def _tabulate(
     call's memo; known and memo go to _fold.  The walk's set-up is made
     once per var_order (_walker), so a call pays for its fold."""
     try:
-        return _fold(f, *_walker(var_order), known, memo)
+        return _fold(f, *_walker(var_order), known=known, memo=memo)
     except KeyError:  # a variable outside var_order; name every one of them
         missing = sorted(free_vars(f) - set(var_order))
         raise ValueError(f"var_order misses free variable(s): {missing}") from None
@@ -686,13 +668,16 @@ def counterexample(f: Formula, g: Formula) -> dict[str, Element] | None:
 # ---------------------------------------------------------------------------
 
 
-def substitute_all(a: Formula, mapping: Mapping[str, Formula]) -> Formula:
-    """Simultaneously replace variables of a per mapping; shared nodes stay shared."""
+def substitute_all(a: Formula | Term, mapping: Mapping[str, Formula | Term]) -> Formula | Term:
+    """Simultaneously replace variables of any node, a formula, a term or a
+    mix, per mapping; shared nodes stay shared."""
     return _fold(
-        a, lambda node: mapping.get(node.name, node) if type(node) is Var else node, Unary, Binary
+        a, lambda node: mapping.get(node.name, node) if type(node) is Var else node,
+        Unary, Binary, lambda label, *args: TermApply(label, args),
     )
 
 
 def tree_size(f: Formula | Term) -> int:
     """The number of nodes of any node as a tree, counted on its DAG."""
-    return _dag_fold(f, lambda leaf: 1, lambda node, sizes: sum(sizes, 1))
+    return _fold(f, lambda leaf: 1, lambda op, x: x + 1, lambda op, x, y: x + y + 1,
+                 lambda label, *sizes: sum(sizes, 1))

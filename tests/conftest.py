@@ -73,13 +73,14 @@ def distinct_nodes(f: Formula) -> dict[int, Formula]:
 
 
 def compound_nodes_valued(call, *args):
-    """(call(*args), the number of compound nodes formula._fold valued
-    during it), counted by wrapping the fold's unary and binary callbacks;
-    a node whose value a fold took from elsewhere is not counted."""
+    """(call(*args), the number of Unary and Binary nodes formula._fold
+    valued during it), counted by wrapping the fold's unary and binary
+    callbacks; the term callback and the memos pass through, and a node
+    whose value a fold took from elsewhere is not counted."""
     valued = [0]
     fold = formula._fold
 
-    def counting(f, leaf, unary, binary, *rest):
+    def counting(f, leaf, unary, binary, *rest, **memos):
         def count_unary(op, x):
             valued[0] += 1
             return unary(op, x)
@@ -88,7 +89,7 @@ def compound_nodes_valued(call, *args):
             valued[0] += 1
             return binary(op, x, y)
 
-        return fold(f, leaf, count_unary, count_binary, *rest)
+        return fold(f, leaf, count_unary, count_binary, *rest, **memos)
 
     formula._fold = counting
     try:

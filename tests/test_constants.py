@@ -45,9 +45,7 @@ from magari4.formula import (
     free_vars,
     parse,
     substitute_all,
-    term_subst,
     term_table,
-    term_text,
     tree_size,
     truth_table,
 )
@@ -807,7 +805,7 @@ def random_shared_term(rng, tables, var_order, size):
     for _ in range(size):
         if len(pool) > len(var_order) and rng.random() < 0.25:
             base = rng.choice(pool[len(var_order):])
-            pool.append(term_subst(base, {rng.choice(var_order): rng.choice(pool)}))
+            pool.append(substitute_all(base, {rng.choice(var_order): rng.choice(pool)}))
             continue
         label = rng.choice(sorted(tables))
         args = tuple(rng.choice(pool) for _ in range(tables[label].arity))
@@ -871,13 +869,13 @@ def test_term_functions_take_const_leaves():
     # a constant leaf prints, stays in place under substitution and
     # tabulates to its constant table, read through the member
     term = TermApply("F1", (Const(Z),))
-    assert term_text(term) == "F1[0]"
-    assert term_subst(term, {"p": Var("q")}) == term
-    assert term_subst(term, {"p": Var("q")})[1] is term[1]
+    assert format_formula(term) == "F1[0]"
+    assert substitute_all(term, {"p": Var("q")}) == term
+    assert substitute_all(term, {"p": Var("q")})[1] is term[1]
     tables = {"F1": FuncTable.from_text("1:0s1r")}
     assert term_table(term, ("p",), tables) == constant_table(Z, 1)
     mixed = TermApply("F1", (TermApply("F2", (Var("p"), Const(O))),))
-    assert term_text(mixed) == "F1[F2[p,1]]"
+    assert format_formula(mixed) == "F1[F2[p,1]]"
     tables["F2"] = FuncTable.from_text("2:" + "0rs1" * 4)  # its second argument
     assert term_table(mixed, ("p", "q"), tables) == constant_table(R, 2)
 
@@ -891,11 +889,11 @@ def test_term_functions_take_any_depth():
         term = TermApply("F2", (term,))
     realized = term_table(term, ("p",), system.tables())
     assert realized.to_text() == "1:0rs1"
-    text = term_text(term)
+    text = format_formula(term)
     assert len(text) == 20_001
-    renamed = term_subst(term, {"p": Var("q")})
+    renamed = substitute_all(term, {"p": Var("q")})
     assert isinstance(renamed, TermApply)
-    assert term_text(renamed) == text.replace("p", "q")
+    assert format_formula(renamed) == text.replace("p", "q")
     expanded = Derivation(term, realized, (), system).expand()
     assert free_vars(expanded) == {"p"}
     # the cold walks count term nodes too, on the chain and on a tower of
@@ -1042,7 +1040,7 @@ def test_a_term_equals_itself_without_a_walk(monkeypatch):
     def no_fold(*args):
         raise AssertionError("== walked a term compared with itself")
 
-    monkeypatch.setattr(formula, "_dag_fold", no_fold)
+    monkeypatch.setattr(formula, "_fold", no_fold)
     assert deep == deep and not deep != deep
 
 

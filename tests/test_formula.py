@@ -9,6 +9,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     BINARY_OPS,
@@ -40,7 +42,7 @@ from magari4.formula import (
     truth_table,
 )
 from magari4.preservation import preserves_delta_pairing
-from magari4.tables import projection
+from magari4.tables import FuncTable, points, projection
 
 Z, R, S, O = ELEMENTS
 
@@ -422,17 +424,45 @@ def test_substitute_examples():
 
 
 def test_the_formula_folds_refuse_a_term():
-    # a term goes to term_subst, term_text or term_table, by name
+    # evaluate and truth_table refuse a term application wherever it sits,
+    # with one TypeError that names term_table
     term = TermApply("F1", (Var("p"),))
-    calls = (
-        lambda: substitute_all(term, {"p": Var("q")}),
-        lambda: format_formula(term),
-        lambda: evaluate(term, {"p": Z}),
-        lambda: truth_table(term, ("p",)),
+    deep = term
+    for _ in range(100_000):
+        deep = Unary(Connective.NOT, deep)
+    refusal = r"^F1\[\.\.\.\] is a term application: tabulate it with term_table$"
+    for f in (term, Binary(Connective.AND, term, Var("q")), Binary(Connective.OR, Var("q"), deep)):
+        with pytest.raises(TypeError, match=refusal):
+            evaluate(f, {"p": Z, "q": Z})
+        with pytest.raises(TypeError, match=refusal):
+            truth_table(f, ("p", "q"))
+
+
+def test_substitution_and_printing_go_through_term_applications():
+    # a mix of formula nodes and applications, either way round
+    p, q, r = Var("p"), Var("q"), Var("r")
+    mixed = Binary(Connective.AND, TermApply("F1", (p,)), q)
+    assert substitute_all(mixed, {"p": r}) == Binary(Connective.AND, TermApply("F1", (r,)), q)
+    assert format_formula(mixed) == "F1[p] & q"
+    inner = TermApply("F2", (Binary(Connective.OR, p, Unary(Connective.DELTA, q)), Const(S)))
+    assert substitute_all(inner, {"q": p}) == TermApply(
+        "F2", (Binary(Connective.OR, p, Unary(Connective.DELTA, p)), Const(S))
     )
-    for call in calls:
-        with pytest.raises(TypeError, match="term_subst, term_text or term_table"):
-            call()
+    assert format_formula(Unary(Connective.NOT, inner)) == "~F2[p | #q,sigma]"
+    assert format_formula(Binary(Connective.AND, mixed, mixed)) == "F1[p] & q & (F1[p] & q)"
+
+
+def test_term_table_tabulates_formula_nodes_under_an_application():
+    rng = make_rng(46)
+    f1 = FuncTable(1, tuple(rng.choice(ELEMENTS) for _ in range(4)))
+    f2 = FuncTable(2, tuple(rng.choice(ELEMENTS) for _ in range(16)))
+    conj = parse("p & q")
+    got = term_table(TermApply("F1", (conj,)), ("p", "q"), {"F1": f1})
+    assert got == compose_pointwise(f1, [truth_table(conj, ("p", "q"))])
+    mixed = Binary(Connective.OR, TermApply("F2", (Var("q"), conj)), Var("p"))
+    inner = compose_pointwise(f2, [truth_table(v, ("p", "q")) for v in (Var("q"), conj)])
+    want = [apply(Connective.OR, (x, pt[0])) for x, pt in zip(inner.entries, points(2))]
+    assert list(term_table(mixed, ("p", "q"), {"F2": f2}).entries) == want
 
 
 def test_substitute_all_is_simultaneous():
@@ -524,7 +554,7 @@ def test_a_formula_equals_itself_without_a_walk(monkeypatch):
     def no_fold(*args):
         raise AssertionError("== walked a formula compared with itself")
 
-    monkeypatch.setattr(formula, "_dag_fold", no_fold)
+    monkeypatch.setattr(formula, "_fold", no_fold)
     assert chain == chain and not chain != chain
 
 
@@ -540,7 +570,7 @@ def test_roots_with_different_heads_or_lengths_differ_without_a_walk(monkeypatch
     def no_fold(*args):
         raise AssertionError("== walked two roots that differ at the root")
 
-    monkeypatch.setattr(formula, "_dag_fold", no_fold)
+    monkeypatch.setattr(formula, "_fold", no_fold)
     for f, g in pairs:
         assert f != g and g != f and not f == g
 
@@ -643,6 +673,106 @@ def test_unpickled_tower_keeps_its_sharing():
     g = pickle.loads(pickle.dumps(f))
     # p, sigma, p -> sigma, and two nodes per []
     assert g == f and len(distinct_nodes(g)) == len(distinct_nodes(f)) == 83
+
+
+def _all_nodes(f) -> int:
+    """The distinct node objects of a formula, a term or a mix, leaves too."""
+    seen, stack = set(), [f]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if isinstance(node, tuple):
+                stack += node[1:]
+    return len(seen)
+
+
+def _mixed_chain(depth: int, name: str):
+    # links take turns as Binary, TermApply and Unary nodes; each Binary and
+    # TermApply link shares one #name node with all the others
+    leaf = Var(name)
+    shared, f = Unary(Connective.DELTA, leaf), leaf
+    for i in range(depth):
+        f = (Binary(Connective.AND, f, shared) if i % 3 == 0 else
+             TermApply("F1", (shared, f)) if i % 3 == 1 else Unary(Connective.NOT, f))
+    return f
+
+
+def test_mixed_deep_chains_take_the_dag_protocol():
+    # far deeper than Python's recursion limit: 200,000 links over one
+    # shared #p, so 200,002 distinct nodes
+    depth = 200_000
+    f, g = _mixed_chain(depth, "p"), _mixed_chain(depth, "p")
+    assert tree_size(f) == 1 + sum(3 if i % 3 < 2 else 1 for i in range(depth))
+    assert f is not g and f == g and hash(f) == hash(g) and not f != g
+    assert f != _mixed_chain(depth, "q")
+    for copied in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert copied is not f and copied == f and hash(copied) == hash(f)
+        assert _all_nodes(copied) == _all_nodes(f) == depth + 2
+
+
+_LEAF_TEXT = {Z: "0", O: "1", R: "rho", S: "sigma"}
+
+
+@st.composite
+def _dags(draw, kinds=("unary", "binary", "term")):
+    """A DAG whose nodes each take their operands from the nodes and leaves
+    drawn before them, so operands are shared; the last one is the root."""
+    leaf = st.one_of(st.sampled_from("pqr").map(Var), st.sampled_from(ELEMENTS).map(Const))
+    pool = draw(st.lists(leaf, min_size=1, max_size=3))
+    for _ in range(draw(st.integers(0, 10))):
+        pick = st.sampled_from(list(pool))
+        kind = draw(st.sampled_from(kinds))
+        if kind == "unary":
+            node = Unary(draw(st.sampled_from((Connective.NOT, Connective.DELTA))), draw(pick))
+        elif kind == "binary":
+            node = Binary(draw(st.sampled_from(BINARY_OPS)), draw(pick), draw(pick))
+        else:
+            node = TermApply(draw(st.sampled_from(("F1", "F2"))), tuple(draw(st.lists(pick, max_size=3))))
+        pool.append(node)
+    return pool[-1]
+
+
+def _reference_size(node) -> int:
+    return 1 + sum(map(_reference_size, node[1:])) if isinstance(node, tuple) else 1
+
+
+def _reference_subst(node, mapping):
+    if type(node) is Var:
+        return mapping.get(node.name, node)
+    if type(node) is Const:
+        return node
+    operands = [_reference_subst(x, mapping) for x in node[1:]]
+    return TermApply(node[0], tuple(operands)) if type(node) is TermApply else type(node)(node[0], *operands)
+
+
+def _reference_term_text(node) -> str:
+    if type(node) is Var:
+        return node.name
+    if type(node) is Const:
+        return _LEAF_TEXT[node.value]
+    return f"{node[0]}[{','.join(map(_reference_term_text, node[1:]))}]"
+
+
+def _same_tree(f, g) -> bool:
+    if isinstance(f, tuple):
+        return (type(f) is type(g) and f[0] == g[0] and len(f) == len(g)
+                and all(map(_same_tree, f[1:], g[1:])))
+    return type(f) is type(g) and f == g
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_dags(), _dags(kinds=("term",)), st.sampled_from(({"p": Var("q")}, {"q": Const(R), "r": Var("p")})))
+def test_the_fold_agrees_with_recursive_references(f, term, mapping):
+    for node in (f, term):
+        assert tree_size(node) == _reference_size(node)
+        substituted = substitute_all(node, mapping)
+        assert _same_tree(substituted, _reference_subst(node, mapping))
+        assert _all_nodes(substituted) <= _all_nodes(node) + len(mapping)
+        for copied in (copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+            assert _same_tree(copied, node) and copied == node and hash(copied) == hash(node)
+            assert _all_nodes(copied) == _all_nodes(node)
+    assert format_formula(term) == _reference_term_text(term)
 
 
 def _counting_callbacks(calls: list):
